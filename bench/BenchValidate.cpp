@@ -144,7 +144,7 @@ uint64_t timeMode(const std::vector<std::string> &Sources,
 }
 
 /// Best-of-\p Rounds (the least-noise estimator for a deterministic
-/// workload; see BenchVm).
+/// workload; see BenchEngines).
 uint64_t bestOf(const std::vector<std::string> &Sources, validate::Mode Mode,
                 unsigned Iters, unsigned Rounds) {
   uint64_t Best = ~uint64_t(0);

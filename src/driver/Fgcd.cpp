@@ -49,7 +49,8 @@ void printUsage(std::ostream &OS) {
         "  --repl                 interactive read-eval-print loop with\n"
         "                         incremental declarations (docs/REPL.md)\n"
         "\n"
-        "backends (the protocol's `backend` parameter; see fgc\n"
+        "backends (the protocol's `backend` parameter; each runs the\n"
+        "term the request's `optimize` level selects, as in fgc\n"
         "--backend=):\n"
      << backendHelpTable("  ")
      << "\n"

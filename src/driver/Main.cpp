@@ -41,20 +41,22 @@
 ///   --seed <n>     base seed for --fuzz / --gen-corpus (default 42)
 ///   --direct       evaluate with the direct F_G interpreter instead of
 ///                  the System F translation (and cross-check the two)
-///   --optimize     also specialize the translation (dictionary
-///                  elimination), print it, and cross-check its value
+///   --optimize, -O1
+///                  run the optimized translation (dictionary
+///                  elimination), print it with the optimizer's
+///                  counts, and cross-check its value against the
+///                  unoptimized translation on the tree walker
 ///   --specialize[=off|apps|dicts|full]
 ///                  whole-program specialization level on top of the
 ///                  baseline passes (systemf/Specialize.h); `-O2` is
 ///                  shorthand for `--optimize --specialize=full`
-///   --backend=<tree|closure|vm|aot>
+///   --backend=<tree|vm|aot>
 ///                  execution engine for the translation: the
-///                  tree-walking evaluator (default), the
-///                  closure-compiling engine, the bytecode VM, or the
-///                  ahead-of-time C++ transpiler (aot/Aot.h; the term
-///                  is `-O2`-specialized first unless --specialize
-///                  was given explicitly).  The registry of names
-///                  lives in support/Backends.h.
+///                  tree-walking evaluator (default), the bytecode VM,
+///                  or the ahead-of-time C++ transpiler (aot/Aot.h).
+///                  The engine runs the term the optimization level
+///                  selects, whatever the engine (fg::execute).  The
+///                  registry of names lives in support/Backends.h.
 ///   --aot-cxx=<path>
 ///                  host C++ compiler for --backend=aot (overrides
 ///                  the $FGC_AOT_CXX/$CXX/PATH discovery ladder)
@@ -64,8 +66,8 @@
 ///   --aot-keep-cpp keep the generated C++ in the cache dir and print
 ///                  its path
 ///   --dump-bytecode
-///                  print the VM bytecode for the translation
-///                  (vm/Disasm.h) and continue
+///                  print the VM bytecode for the term the optimization
+///                  level selects (vm/Disasm.h) and continue
 ///   --no-superinstructions
 ///                  disable the VM's peephole superinstruction fusion
 ///                  for the whole process (for A/B comparison; values,
@@ -122,6 +124,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -149,7 +152,9 @@ void printUsage(std::ostream &OS) {
         "  --seed <n>             base seed for --fuzz / --gen-corpus\n"
         "                         (default 42)\n"
         "  --direct               cross-check with the direct interpreter\n"
-        "  --optimize, -O1        optimize and cross-check the result\n"
+        "  --optimize, -O1        run the optimized translation and\n"
+        "                         cross-check it against the unoptimized\n"
+        "                         one on the tree walker\n"
         "  --specialize[=<lvl>]   whole-program specialization level on\n"
         "                         top of -O1: `off`, `apps` (clone\n"
         "                         polymorphic functions at concrete\n"
@@ -159,14 +164,15 @@ void printUsage(std::ostream &OS) {
         "                         --specialize means `full`\n"
         "  -O2                    shorthand for --optimize\n"
         "                         --specialize=full\n"
-        "  --backend=<name>       execution engine for the translation;\n"
-        "                         one of:\n"
+        "  --backend=<name>       execution engine; it runs the term the\n"
+        "                         optimization level selects; one of:\n"
      << backendHelpTable("                           ")
      << "  --aot-cxx=<path>       host C++ compiler for --backend=aot\n"
         "  --aot-cache=<dir>      AOT build cache directory (default\n"
         "                         ./.fgc.aot-cache or $FGC_AOT_CACHE)\n"
         "  --aot-keep-cpp         keep the generated C++ in the cache dir\n"
-        "  --dump-bytecode        print the translation's VM bytecode\n"
+        "  --dump-bytecode        print the VM bytecode of the term the\n"
+        "                         optimization level selects\n"
         "  --no-superinstructions disable VM peephole fusion (for A/B;\n"
         "                         the result must be identical)\n"
         "  --batch                separately check modules (.fgi output)\n"
@@ -355,11 +361,11 @@ int runGenCorpus(const corpus::CorpusOptions &Opts,
 
 int fgcMain(int Argc, char **Argv) {
   bool CheckOnly = false, PrintTranslation = false, PrintAst = false;
-  bool Direct = false, Optimize = false, Batch = false, UseCache = true;
+  bool Direct = false, Batch = false, UseCache = true;
   bool DumpBytecode = false;
-  sf::SpecializeLevel SpecLevel = sf::SpecializeLevel::Off;
-  bool SpecSet = false;
-  std::string Backend = "tree";
+  // Unset is -O0; -O1 is `Off`, -O2 is `Full` (ExecRequest::Level).
+  std::optional<sf::SpecializeLevel> Level;
+  Backend Engine = Backend::Tree;
   aot::ToolchainOptions AotToolchain;
   unsigned Jobs = 1;
   unsigned FuzzCount = 0;
@@ -390,25 +396,22 @@ int fgcMain(int Argc, char **Argv) {
       PrintAst = true;
     else if (Arg == "--direct")
       Direct = true;
-    else if (Arg == "--optimize" || Arg == "-O1")
-      Optimize = true;
-    else if (Arg == "-O2") {
-      Optimize = true;
-      SpecLevel = sf::SpecializeLevel::Full;
-      SpecSet = true;
-    } else if (Arg == "--specialize") {
-      Optimize = true;
-      SpecLevel = sf::SpecializeLevel::Full;
-      SpecSet = true;
-    } else if (Arg.rfind("--specialize=", 0) == 0) {
+    else if (Arg == "--optimize" || Arg == "-O1") {
+      if (!Level)
+        Level = sf::SpecializeLevel::Off;
+    } else if (Arg == "-O2" || Arg == "--specialize")
+      Level = sf::SpecializeLevel::Full;
+    else if (Arg.rfind("--specialize=", 0) == 0) {
       std::string Value = Arg.substr(std::string("--specialize=").size());
-      if (!sf::parseSpecializeLevel(Value, SpecLevel)) {
+      sf::SpecializeLevel L;
+      if (!sf::parseSpecializeLevel(Value, L)) {
         std::cerr << "fgc: error: --specialize must be one of off, apps, "
                      "dicts, full\n";
         return usageError();
       }
-      SpecSet = true;
-      Optimize |= SpecLevel != sf::SpecializeLevel::Off;
+      // `--specialize=off` alone stays at -O0; after -O1/-O2 it means -O1.
+      if (Level || L != sf::SpecializeLevel::Off)
+        Level = L;
     } else if (Arg == "--batch")
       Batch = true;
     else if (Arg == "--no-cache")
@@ -418,8 +421,8 @@ int fgcMain(int Argc, char **Argv) {
     else if (Arg == "--no-superinstructions")
       vm::defaultEmitOptions().Superinstructions = false;
     else if (Arg.rfind("--backend=", 0) == 0) {
-      Backend = Arg.substr(std::string("--backend=").size());
-      if (!isBackendName(Backend)) {
+      if (!parseBackend(Arg.substr(std::string("--backend=").size()),
+                        Engine)) {
         std::cerr << "fgc: error: --backend must be one of "
                   << backendNameList() << "\n";
         return usageError();
@@ -603,9 +606,9 @@ int fgcMain(int Argc, char **Argv) {
     // Fuzzing exists to exercise the validators; keep per-pass
     // checking on unless the user explicitly lowered the level.
     FO.ValidatePasses = !VModeSet || VMode == validate::Mode::Passes;
-    FO.Specialize = SpecLevel;
+    FO.Specialize = Level.value_or(sf::SpecializeLevel::Off);
     FO.Log = &std::cerr;
-    if (Backend == "aot") {
+    if (Engine == Backend::Aot) {
       // Fuzzing the AOT backend is opt-in (each program costs a host
       // compile); degrade to a notice when no toolchain exists.
       std::string WhyNot;
@@ -685,13 +688,20 @@ int fgcMain(int Argc, char **Argv) {
     std::cerr << FE.getDiags().render();
     return 1;
   }
-  if (VMode == validate::Mode::Passes) {
+  // -O1/-O2 optimize once, up front, when a run or --dump-bytecode uses
+  // the result, under --validate=passes' per-pass re-typechecking when
+  // asked: execute() and --dump-bytecode reuse the term this builds.
+  // --validate=passes alone validates the pipeline at the --specialize
+  // level without running its result.
+  sf::OptimizeStats Stats;
+  if ((Level && (!CheckOnly || DumpBytecode)) ||
+      VMode == validate::Mode::Passes) {
     validate::Validator V(FE.getSfContext(), FE.getPrelude().Types);
-    sf::OptimizeOptions VOpts;
-    VOpts.Specialize = SpecLevel;
-    VOpts.PassHook = V.passHook(Out.SfType);
-    sf::OptimizeStats VStats;
-    FE.optimize(Out, &VStats, VOpts);
+    sf::OptimizeOptions OO;
+    OO.Specialize = Level.value_or(sf::SpecializeLevel::Off);
+    if (VMode == validate::Mode::Passes)
+      OO.PassHook = V.passHook(Out.SfType);
+    FE.optimize(Out, &Stats, OO);
     if (V.failed()) {
       std::cerr << "fgc: " << V.error() << "\n";
       return 1;
@@ -706,8 +716,8 @@ int fgcMain(int Argc, char **Argv) {
   }
   if (DumpBytecode) {
     std::string Error;
-    std::shared_ptr<const vm::Chunk> Chunk =
-        vm::compile(Out.SfTerm, FE.getPrelude(), &Error);
+    std::shared_ptr<const vm::Chunk> Chunk = vm::compile(
+        Level ? Out.SfOptimized : Out.SfTerm, FE.getPrelude(), &Error);
     if (!Chunk) {
       std::cerr << "fgc: error: cannot compile to bytecode: " << Error
                 << "\n";
@@ -719,49 +729,27 @@ int fgcMain(int Argc, char **Argv) {
   if (CheckOnly)
     return 0;
 
-  sf::EvalResult R;
-  if (Backend == "aot") {
-    std::string WhyNot;
-    if (!aot::toolchainAvailable(AotToolchain, &WhyNot)) {
-      std::cerr << "fgc: error: --backend=aot is unavailable: " << WhyNot
-                << "\n";
-      return 2;
-    }
-    // The AOT backend exists to measure the paper's zero-overhead
-    // claim, so it emits from the -O2-specialized term unless the user
-    // pinned a specialization level explicitly.  The Stats argument
-    // forces re-specialization at this level even if an earlier
-    // validation pass populated Out.SfOptimized at another one.
-    sf::OptimizeOptions SOpts;
-    SOpts.Specialize = SpecSet ? SpecLevel : sf::SpecializeLevel::Full;
-    sf::OptimizeStats AotStats;
-    const sf::Term *T = FE.optimize(Out, &AotStats, SOpts);
-    if (!T) {
-      std::cerr << "fgc: error: optimization failed\n";
-      return 1;
-    }
-    aot::RunInfo Info;
-    R = aot::runAot(T, FE.getPrelude(), sf::EvalOptions(), AotToolchain,
-                    &Info);
-    if (!Info.CppPath.empty())
-      std::cerr << "fgc: note: kept generated C++ at " << Info.CppPath
-                << "\n";
-  } else {
-    R = Backend == "vm"        ? FE.runVm(Out)
-        : Backend == "closure" ? FE.runCompiled(Out)
-                               : FE.run(Out);
+  ExecRequest Req;
+  Req.Engine = Engine;
+  Req.Level = Level;
+  Req.Toolchain = AotToolchain;
+  aot::RunInfo Info;
+  Req.AotInfo = &Info;
+  ExecResult R = execute(FE, Out, Req);
+  if (R.Unavailable) {
+    std::cerr << "fgc: error: --backend=" << backendName(Engine)
+              << " is unavailable: " << R.Error << "\n";
+    return 2;
   }
+  if (!Info.CppPath.empty())
+    std::cerr << "fgc: note: kept generated C++ at " << Info.CppPath << "\n";
   if (!R.ok()) {
     std::cerr << "runtime error: " << R.Error << "\n";
     return 1;
   }
   std::cout << "value: " << sf::valueToString(R.Val) << "\n";
 
-  if (Optimize) {
-    sf::OptimizeStats Stats;
-    sf::OptimizeOptions SOpts;
-    SOpts.Specialize = SpecLevel;
-    FE.optimize(Out, &Stats, SOpts);
+  if (Level) {
     std::cout << "specialized: " << sf::termToString(Out.SfOptimized)
               << "\n";
     std::cout << "  (nodes " << Stats.NodesBefore << " -> "
@@ -769,8 +757,8 @@ int fgcMain(int Argc, char **Argv) {
               << " instantiations, " << Stats.LetsInlined
               << " lets inlined, " << Stats.ProjectionsFolded
               << " projections folded)\n";
-    if (SpecLevel != sf::SpecializeLevel::Off) {
-      std::cout << "  (specialize " << sf::specializeLevelName(SpecLevel)
+    if (*Level != sf::SpecializeLevel::Off) {
+      std::cout << "  (specialize " << sf::specializeLevelName(*Level)
                 << ": " << Stats.ClonesCreated << " clones, "
                 << Stats.SpecCacheHits << " cache hits, "
                 << Stats.MembersDevirtualized << " members devirtualized, "
@@ -782,13 +770,9 @@ int fgcMain(int Argc, char **Argv) {
                   << Stats.BudgetHits
                   << " specialization(s) (specialize.budget_hits)\n";
     }
-    sf::EvalResult O = FE.runOptimized(Out);
-    if (!O.ok()) {
-      std::cerr << "specialized evaluation error: " << O.Error << "\n";
-      return 1;
-    }
-    std::cout << "optimized value: " << sf::valueToString(O.Val) << "\n";
-    if (sf::valueToString(O.Val) != sf::valueToString(R.Val)) {
+    // The reference: the unoptimized translation on the tree walker.
+    ExecResult Ref = execute(FE, Out, ExecRequest());
+    if (!Ref.ok() || sf::valueToString(Ref.Val) != sf::valueToString(R.Val)) {
       std::cerr << "error: specialization changed the program's value\n";
       return 1;
     }

@@ -136,11 +136,7 @@ void buildModule(const ModuleUnit &U,
   Parser P(FE.getSourceManager(), FE.getDiags(), FE.getFgContext(),
            FE.getFgArena());
   ModuleHeader Header;
-  const Term *Ast;
-  {
-    stats::ScopedTimer Timer("modules.parse");
-    Ast = P.parseModule(BufferId, Header, Seeds);
-  }
+  const Term *Ast = P.parseModule(BufferId, Header, Seeds);
   if (!Ast) {
     R.Error = FE.getDiags().firstError();
     return;

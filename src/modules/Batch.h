@@ -23,8 +23,8 @@
 /// `modules.cache.invalidations.source` / `.transitive` attributing
 /// each stale interface to an edited source or a cascading dependency)
 /// (hit_rate derived at emission), `batch.wavefront.max_width`; timers
-/// `modules.parse`, `modules.instantiate`, `modules.serialize` plus the
-/// regular frontend phase timers.
+/// `modules.instantiate`, `modules.serialize` plus the regular phase
+/// timers (`parser.parse` times each module's parse).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -271,11 +271,7 @@ bool ModuleLoader::parseClosure(Frontend &FE,
     Parser P(FE.getSourceManager(), FE.getDiags(), FE.getFgContext(),
              FE.getFgArena());
     ModuleHeader Header;
-    const Term *Ast;
-    {
-      stats::ScopedTimer Timer("modules.parse");
-      Ast = P.parseModule(BufferId, Header, Seeds);
-    }
+    const Term *Ast = P.parseModule(BufferId, Header, Seeds);
     if (!Ast) {
       Error = FE.getDiags().firstError();
       return false;

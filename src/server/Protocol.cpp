@@ -41,10 +41,11 @@ Json okReply(const Json &Id, Json Result) {
 /// host compiler): a structured error, distinct from `invalid_params`
 /// (an unknown backend name), so clients can tell "fix your request"
 /// from "fix your environment".  See docs/PROTOCOL.md.
-Json backendUnavailableReply(const Json &Id, const std::string &Backend,
+Json backendUnavailableReply(const Json &Id, Backend Engine,
                              const Outcome &O) {
   return errorReply(Id, "backend_unavailable",
-                    "backend `" + Backend + "` is unavailable: " + O.Error);
+                    std::string("backend `") + backendName(Engine) +
+                        "` is unavailable: " + O.Error);
 }
 
 /// Renders a session Outcome as a result object.  Fields are omitted
@@ -160,8 +161,8 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
       return Out;
     }
     // run
-    std::string Backend = Params.stringOr("backend", "tree");
-    if (!isBackendName(Backend)) {
+    Backend Engine;
+    if (!parseBackend(Params.stringOr("backend", "tree"), Engine)) {
       Out.Line = errorReply(Id, "invalid_params",
                             "`backend` must be one of: " + backendNameList())
                      .write();
@@ -174,10 +175,10 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
                      .write();
       return Out;
     }
-    Outcome O = S.run(Source, Name, Backend, static_cast<int>(OptLevel),
+    Outcome O = S.run(Source, Name, Engine, static_cast<int>(OptLevel),
                       HasPath ? Path : "");
     Out.Line = O.BackendUnavailable
-                   ? backendUnavailableReply(Id, Backend, O).write()
+                   ? backendUnavailableReply(Id, Engine, O).write()
                    : okReply(Id, resultOf(O)).write();
     return Out;
   }
@@ -202,16 +203,16 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
                      .write();
       return Out;
     }
-    std::string Backend = Params.stringOr("backend", "tree");
-    if (!isBackendName(Backend)) {
+    Backend Engine;
+    if (!parseBackend(Params.stringOr("backend", "tree"), Engine)) {
       Out.Line = errorReply(Id, "invalid_params",
                             "`backend` must be one of: " + backendNameList())
                      .write();
       return Out;
     }
-    Outcome O = S.eval(Input, Backend);
+    Outcome O = S.eval(Input, Engine);
     Out.Line = O.BackendUnavailable
-                   ? backendUnavailableReply(Id, Backend, O).write()
+                   ? backendUnavailableReply(Id, Engine, O).write()
                    : okReply(Id, resultOf(O)).write();
     return Out;
   }

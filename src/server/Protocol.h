@@ -34,7 +34,7 @@ namespace server {
 
 /// Protocol revision; bumped only on incompatible changes (see the
 /// compatibility policy in docs/PROTOCOL.md).
-inline constexpr int ProtocolVersion = 1;
+inline constexpr int ProtocolVersion = 2;
 
 /// Stateless translator between protocol lines and one Session.
 class Protocol {

@@ -28,7 +28,8 @@
 /// Observability: `server.connections`, `server.sessions.opened`,
 /// `server.requests[.<method>]`, `server.errors.<code>`,
 /// `server.artifact_cache.{hits,misses,evictions}`; timers
-/// `server.request`, `server.check`, `server.run`, `server.eval`.
+/// `server.request`, `server.check` (check, check-path and type),
+/// `server.run`, `server.eval`, `server.load`, `server.dump_bytecode`.
 ///
 //===----------------------------------------------------------------------===//
 

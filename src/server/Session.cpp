@@ -177,10 +177,10 @@ Outcome Session::checkPath(const std::string &Path) {
 }
 
 Outcome Session::run(const std::string &Source, const std::string &Name,
-                     const std::string &Backend, int OptLevel,
-                     const std::string &Path) {
+                     Backend Engine, int OptLevel, const std::string &Path) {
   Outcome O;
-  std::string KeyKind = "run:v1:" + Backend + ":" + std::to_string(OptLevel);
+  std::string KeyKind = std::string("run:v2:") + backendName(Engine) + ":" +
+                        std::to_string(OptLevel);
   CacheKey Key;
   modules::ModuleLoader::Options LO;
   LO.SearchPaths = Opts.SearchPaths;
@@ -223,34 +223,16 @@ Outcome Session::run(const std::string &Source, const std::string &Name,
   O.Success = true;
   O.Type = typeToString(Out.FgType);
 
-  sf::EvalResult R;
-  if (Backend == "aot") {
-    std::string WhyNot;
-    if (!aot::toolchainAvailable(aot::ToolchainOptions(), &WhyNot)) {
-      O.BackendUnavailable = true;
-      O.Error = WhyNot;
-      return O; // Deliberately uncached; see Outcome::BackendUnavailable.
-    }
-    // Match the driver: the AOT backend always compiles the fully
-    // specialized term — that is the artifact whose zero-overhead
-    // claim the backend exists to measure.
-    sf::OptimizeStats Stats;
-    sf::OptimizeOptions OO;
-    OO.Specialize = sf::SpecializeLevel::Full;
-    const sf::Term *T = FE.optimize(Out, &Stats, OO);
-    R = aot::runAot(T, FE.getPrelude());
-  } else if (OptLevel > 0) {
-    sf::OptimizeOptions OO;
-    OO.Specialize = OptLevel >= 2 ? sf::SpecializeLevel::Full
-                                  : sf::SpecializeLevel::Off;
-    FE.optimize(Out, nullptr, OO);
-    R = FE.runOptimized(Out);
-  } else if (Backend == "vm") {
-    R = FE.runVm(Out);
-  } else if (Backend == "closure") {
-    R = FE.runCompiled(Out);
-  } else {
-    R = FE.run(Out);
+  ExecRequest Req;
+  Req.Engine = Engine;
+  if (OptLevel > 0)
+    Req.Level = OptLevel >= 2 ? sf::SpecializeLevel::Full
+                              : sf::SpecializeLevel::Off;
+  ExecResult R = execute(FE, Out, Req);
+  if (R.Unavailable) {
+    O.BackendUnavailable = true;
+    O.Error = R.Error;
+    return O; // Deliberately uncached; see Outcome::BackendUnavailable.
   }
   if (!R.ok())
     O.Error = R.Error;
@@ -273,7 +255,7 @@ Outcome Session::dumpBytecode(const std::string &Source,
   if (ArtifactPtr A = Cache->get(Key))
     return fromArtifact(A);
 
-  stats::ScopedTimer Timer("server.check");
+  stats::ScopedTimer Timer("server.dump_bytecode");
   Outcome O;
   Frontend FE;
   CompileOutput Out = FE.compile(Name, Source);
@@ -299,8 +281,7 @@ Outcome Session::dumpBytecode(const std::string &Source,
   return O;
 }
 
-Outcome Session::eval(const std::string &RawInput,
-                      const std::string &Backend) {
+Outcome Session::eval(const std::string &RawInput, Backend Engine) {
   stats::ScopedTimer Timer("server.eval");
   std::string Input = trim(RawInput);
   Outcome O;
@@ -319,21 +300,13 @@ Outcome Session::eval(const std::string &RawInput,
     if (Out.Success) {
       O.Success = true;
       O.Type = typeToString(Out.FgType);
-      sf::EvalResult R;
-      if (Backend == "aot") {
-        std::string WhyNot;
-        if (!aot::toolchainAvailable(aot::ToolchainOptions(), &WhyNot)) {
-          O.BackendUnavailable = true;
-          O.Error = WhyNot;
-          return O;
-        }
-        R = FE.runAot(Out);
-      } else if (Backend == "vm") {
-        R = FE.runVm(Out);
-      } else if (Backend == "closure") {
-        R = FE.runCompiled(Out);
-      } else {
-        R = FE.run(Out);
+      ExecRequest Req;
+      Req.Engine = Engine;
+      ExecResult R = execute(FE, Out, Req);
+      if (R.Unavailable) {
+        O.BackendUnavailable = true;
+        O.Error = R.Error;
+        return O;
       }
       if (!R.ok())
         O.Error = R.Error;

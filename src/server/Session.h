@@ -42,6 +42,7 @@
 #define FG_SERVER_SESSION_H
 
 #include "server/ArtifactCache.h"
+#include "support/Backends.h"
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,15 +95,13 @@ public:
   /// of the entire import cone.
   Outcome checkPath(const std::string &Path);
 
-  /// Compiles and evaluates.  \p Backend is any registered backend
-  /// (tree/closure/vm/aot); \p OptLevel 0, 1 (-O1) or 2 (-O2; for the
-  /// in-process engines, 1 and 2 evaluate the optimized term on the
-  /// tree engine; aot always compiles the -O2-specialized term, like
-  /// the driver).  Cached (evaluation is deterministic — F_G is pure).
-  /// With \p Path nonempty the program is loaded from disk with
-  /// imports resolved and \p Source is ignored.
+  /// Compiles and evaluates on \p Engine at \p OptLevel 0 (-O0), 1
+  /// (-O1) or 2 (-O2): the engine runs the term the level selects, as
+  /// in `fgc` (fg::execute).  Cached (evaluation is deterministic — F_G
+  /// is pure).  With \p Path nonempty the program is loaded from disk
+  /// with imports resolved and \p Source is ignored.
   Outcome run(const std::string &Source, const std::string &Name,
-              const std::string &Backend = "tree", int OptLevel = 0,
+              Backend Engine = Backend::Tree, int OptLevel = 0,
               const std::string &Path = "");
 
   /// Type of \p Expr inside this session's incremental scope.  Cached.
@@ -115,9 +114,9 @@ public:
   /// One REPL input: a top-level declaration (`let x = 5`,
   /// `model Eq<int> { ... }`, `use name`, ...) extends the session
   /// scope; anything else is evaluated as an expression in that scope
-  /// on \p Backend (any registered backend).  See docs/REPL.md for the
-  /// classification rule.
-  Outcome eval(const std::string &Input, const std::string &Backend = "tree");
+  /// on \p Engine at -O0, like run() at optimize 0.  See docs/REPL.md
+  /// for the classification rule.
+  Outcome eval(const std::string &Input, Backend Engine = Backend::Tree);
 
   /// `:load`: evaluates the file (imports resolved) and splices its —
   /// and its imports' — declaration spines into the session scope.

@@ -13,19 +13,28 @@ namespace fg {
 
 const std::vector<BackendInfo> &backendRegistry() {
   static const std::vector<BackendInfo> Registry = {
-      {"tree", "reference tree-walking evaluator (default)"},
-      {"closure", "closure-compiling evaluator"},
-      {"vm", "bytecode virtual machine"},
-      {"aot", "ahead-of-time C++ transpiler (host toolchain required)"},
+      {Backend::Tree, "tree", "reference tree-walking evaluator (default)"},
+      {Backend::Vm, "vm", "bytecode virtual machine"},
+      {Backend::Aot, "aot",
+       "ahead-of-time C++ transpiler (host toolchain required)"},
   };
   return Registry;
 }
 
-bool isBackendName(const std::string &Name) {
-  for (const BackendInfo &B : backendRegistry())
-    if (Name == B.Name)
+bool parseBackend(const std::string &Name, Backend &B) {
+  for (const BackendInfo &Info : backendRegistry())
+    if (Name == Info.Name) {
+      B = Info.Kind;
       return true;
+    }
   return false;
+}
+
+const char *backendName(Backend B) {
+  for (const BackendInfo &Info : backendRegistry())
+    if (Info.Kind == B)
+      return Info.Name;
+  return "?";
 }
 
 std::string backendNameList() {

@@ -10,8 +10,9 @@
 /// names backends — `fgc --backend=`, the `fgcd` help text, the wire
 /// protocol's `backend` parameter, and the error messages all three
 /// print — derives from this table, so adding an engine means adding
-/// one row here (plus the engine itself); DriverCliTest fails if a
-/// registered backend is missing from either binary's `--help`.
+/// one enumerator and one row here (plus the engine and its case in
+/// fg::execute); DriverCliTest fails if a registered backend is missing
+/// from either binary's `--help`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +24,16 @@
 
 namespace fg {
 
+/// A System F execution engine.
+enum class Backend {
+  Tree, ///< The reference tree-walking evaluator (systemf/Eval.h).
+  Vm,   ///< The register bytecode VM (vm/VM.h).
+  Aot,  ///< The ahead-of-time C++ transpiler (aot/Aot.h).
+};
+
 /// One execution backend, as the user-facing surfaces see it.
 struct BackendInfo {
+  Backend Kind;
   const char *Name;        ///< The `--backend=` / protocol value.
   const char *Description; ///< One line for the generated help table.
 };
@@ -32,10 +41,14 @@ struct BackendInfo {
 /// Every registered backend, in presentation order (the default first).
 const std::vector<BackendInfo> &backendRegistry();
 
-/// True when \p Name names a registered backend.
-bool isBackendName(const std::string &Name);
+/// Parses a `--backend=` / protocol value.  Returns false on an unknown
+/// name, leaving \p B untouched.
+bool parseBackend(const std::string &Name, Backend &B);
 
-/// `tree, closure, vm, aot` — for error messages.
+/// The registered name of \p B (`tree`, `vm`, `aot`).
+const char *backendName(Backend B);
+
+/// `tree, vm, aot` — for error messages.
 std::string backendNameList();
 
 /// The generated `--backend=` help table: one aligned

@@ -22,10 +22,7 @@ CompileOutput Frontend::compile(const std::string &Name,
   CompileOutput Out;
   uint32_t BufferId = SM.addBuffer(Name, Source);
   Parser P(SM, Diags, FgCtx, FgArena);
-  {
-    stats::ScopedTimer Timer("frontend.parse");
-    Out.Ast = P.parseProgram(BufferId);
-  }
+  Out.Ast = P.parseProgram(BufferId);
   if (!Out.Ast) {
     Out.ErrorMessage = Diags.firstError();
     return Out;
@@ -40,11 +37,7 @@ CompileOutput Frontend::compileTerm(const Term *Ast,
 
   TheChecker.setModelCacheEnabled(Opts.EnableModelCache);
   TheChecker.setAllowConceptEscape(Opts.AllowConceptEscape);
-  Checked C;
-  {
-    stats::ScopedTimer Timer("frontend.check");
-    C = TheChecker.check(Out.Ast);
-  }
+  Checked C = TheChecker.check(Out.Ast);
   if (!C.ok()) {
     Out.ErrorMessage = Diags.firstError();
     return Out;
@@ -60,7 +53,6 @@ CompileOutput Frontend::compileTerm(const Term *Ast,
     // may reference imported values and dictionaries as free variables;
     // their typings extend the prelude environment.
     stats::ScopedTimer Timer("frontend.verify");
-    stats::ScopedTimer VTimer("validate.translate");
     static std::atomic<uint64_t> &ChecksCount =
         stats::Statistics::global().counter("validate.translate.checks");
     static std::atomic<uint64_t> &FailureCount =
@@ -134,50 +126,42 @@ const sf::Term *Frontend::optimize(CompileOutput &Out,
                                    const sf::OptimizeOptions &Opts) {
   if (!Out.Success)
     return nullptr;
-  if (!Out.SfOptimized || Stats) {
+  if (!Out.SfOptimized || Stats || Out.SfOptimizedLevel != Opts.Specialize) {
     sf::OptimizeOptions Effective = Opts;
     if (!Effective.HoistableTyApps)
       Effective.HoistableTyApps = &preludeNames();
     Out.SfOptimized =
         sf::specialize(SfArena, SfCtx, Out.SfTerm, Effective, Stats);
+    Out.SfOptimizedLevel = Opts.Specialize;
   }
   return Out.SfOptimized;
 }
 
-sf::EvalResult Frontend::runOptimized(CompileOutput &Out,
-                                      const sf::EvalOptions &Opts) {
-  const sf::Term *T = optimize(Out);
-  if (!T)
-    return sf::EvalResult::failure("cannot run a failed compilation");
-  sf::Evaluator E(Opts);
-  return E.eval(T, ThePrelude.Values);
-}
-
-sf::EvalResult Frontend::runCompiled(const CompileOutput &Out,
-                                     const sf::EvalOptions &Opts) {
+ExecResult fg::execute(Frontend &FE, CompileOutput &Out,
+                       const ExecRequest &Req) {
   if (!Out.Success)
     return sf::EvalResult::failure("cannot run a failed compilation");
-  std::string Error;
-  std::unique_ptr<sf::CompiledTerm> C =
-      sf::CompiledTerm::compile(Out.SfTerm, ThePrelude, &Error);
-  if (!C)
-    return sf::EvalResult::failure("compilation to closures failed: " +
-                                   Error);
-  return C->run(Opts);
-}
-
-sf::EvalResult Frontend::runVm(const CompileOutput &Out,
-                               const sf::EvalOptions &Opts) {
-  if (!Out.Success)
-    return sf::EvalResult::failure("cannot run a failed compilation");
-  return vm::runTerm(Out.SfTerm, ThePrelude, Opts);
-}
-
-sf::EvalResult Frontend::runAot(const CompileOutput &Out,
-                                const sf::EvalOptions &Opts,
-                                const aot::ToolchainOptions &Toolchain,
-                                aot::RunInfo *Info) {
-  if (!Out.Success)
-    return sf::EvalResult::failure("cannot run a failed compilation");
-  return aot::runAot(Out.SfTerm, ThePrelude, Opts, Toolchain, Info);
+  std::string WhyNot;
+  if (Req.Engine == Backend::Aot &&
+      !aot::toolchainAvailable(Req.Toolchain, &WhyNot)) {
+    ExecResult R = sf::EvalResult::failure(WhyNot);
+    R.Unavailable = true;
+    return R;
+  }
+  const sf::Term *T = Out.SfTerm;
+  if (Req.Level) {
+    sf::OptimizeOptions Opts;
+    Opts.Specialize = *Req.Level;
+    T = FE.optimize(Out, nullptr, Opts);
+  }
+  const sf::Prelude &P = FE.getPrelude();
+  switch (Req.Engine) {
+  case Backend::Tree:
+    return sf::Evaluator(Req.Eval).eval(T, P.Values);
+  case Backend::Vm:
+    return vm::runTerm(T, P, Req.Eval);
+  case Backend::Aot:
+    return aot::runAot(T, P, Req.Eval, Req.Toolchain, Req.AotInfo);
+  }
+  return sf::EvalResult::failure("internal error: unknown backend");
 }

@@ -21,6 +21,10 @@
 ///   }
 /// \endcode
 ///
+/// fg::execute() is the one way to run a program on a chosen backend at
+/// a chosen optimization level; fgc, fgcd, the fuzzer and the tests all
+/// go through it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FG_SYNTAX_FRONTEND_H
@@ -30,15 +34,16 @@
 #include "core/Builtins.h"
 #include "core/Check.h"
 #include "core/Interp.h"
-#include "systemf/Compile.h"
-#include "systemf/Optimize.h"
+#include "support/Backends.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 #include "syntax/Parser.h"
 #include "systemf/Builtins.h"
 #include "systemf/Eval.h"
+#include "systemf/Optimize.h"
 #include "systemf/TypeCheck.h"
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 
@@ -82,8 +87,9 @@ struct CompileOutput {
   /// (module export probes).
   const sf::Type *SfExpectedType = nullptr;
   /// Specialized translation (dictionaries eliminated); populated by
-  /// Frontend::optimize().
+  /// Frontend::optimize() at SfOptimizedLevel.
   const sf::Term *SfOptimized = nullptr;
+  sf::SpecializeLevel SfOptimizedLevel = sf::SpecializeLevel::Off;
   std::string ErrorMessage;         ///< First error, empty on success.
 };
 
@@ -127,40 +133,14 @@ public:
 
   /// Specializes the translation (systemf/Optimize.h): instantiates
   /// type applications, inlines dictionaries, folds member-access
-  /// projections.  Stores and returns Out.SfOptimized.
+  /// projections.  Stores and returns Out.SfOptimized.  The result is
+  /// memoized per specialization level: a call at the level that built
+  /// Out.SfOptimized reuses it, unless \p Stats asks for a fresh run's
+  /// counters.
   const sf::Term *optimize(CompileOutput &Out,
                            sf::OptimizeStats *Stats = nullptr,
                            const sf::OptimizeOptions &Opts =
                                sf::OptimizeOptions());
-
-  /// Evaluates the specialized translation (optimizing on demand).
-  sf::EvalResult runOptimized(CompileOutput &Out,
-                              const sf::EvalOptions &Opts =
-                                  sf::EvalOptions());
-
-  /// Evaluates via the closure-compiling engine (systemf/Compile.h):
-  /// compiles the translation once, then executes with compile-time-
-  /// resolved variables.  Observationally equivalent to run().
-  sf::EvalResult runCompiled(const CompileOutput &Out,
-                             const sf::EvalOptions &Opts =
-                                 sf::EvalOptions());
-
-  /// Evaluates via the bytecode VM (vm/VM.h): compiles the translation
-  /// to a flat chunk, then runs the dispatch loop.  Observationally
-  /// equivalent to run(); the `--backend=vm` driver path.
-  sf::EvalResult runVm(const CompileOutput &Out,
-                       const sf::EvalOptions &Opts = sf::EvalOptions());
-
-  /// Evaluates ahead-of-time (aot/Aot.h): transpiles the translation
-  /// to C++, compiles it with the host toolchain under the build
-  /// cache, and runs the binary.  Observationally equivalent to run();
-  /// the `--backend=aot` driver path.  Fails with an `aot:`-prefixed
-  /// message when no host compiler is available.
-  sf::EvalResult runAot(const CompileOutput &Out,
-                        const sf::EvalOptions &Opts = sf::EvalOptions(),
-                        const aot::ToolchainOptions &Toolchain =
-                            aot::ToolchainOptions(),
-                        aot::RunInfo *Info = nullptr);
 
   SourceManager &getSourceManager() { return SM; }
   DiagnosticEngine &getDiags() { return Diags; }
@@ -186,6 +166,33 @@ private:
   Checker TheChecker;
   std::unordered_set<std::string> PreludeNames; ///< Lazy; see preludeNames().
 };
+
+/// One request to run a compiled program: which engine runs which term.
+struct ExecRequest {
+  Backend Engine = Backend::Tree;
+  /// The optimization level.  Unset (-O0) runs the translation as is;
+  /// otherwise the engine runs the term Frontend::optimize() produces
+  /// at this specialization level (-O1 is Off, -O2 is Full).
+  std::optional<sf::SpecializeLevel> Level;
+  sf::EvalOptions Eval;
+  aot::ToolchainOptions Toolchain; ///< Used by Backend::Aot only.
+  aot::RunInfo *AotInfo = nullptr; ///< Filled by Backend::Aot when set.
+};
+
+/// What execute() produced: the engine's result, or — with Unavailable
+/// set — the one-line reason (in Error) the requested backend cannot
+/// run here (the AOT backend without a host C++ compiler).
+struct ExecResult : sf::EvalResult {
+  ExecResult(sf::EvalResult R) : sf::EvalResult(std::move(R)) {}
+  bool Unavailable = false;
+};
+
+/// Runs \p Out on the requested engine, at the requested level, with no
+/// per-backend defaults: the engine runs exactly the term the level
+/// selects.  Does no work the request does not need — no optimization
+/// at -O0, no toolchain probe unless the engine is Backend::Aot.  An
+/// optimized term is memoized in \p Out (see Frontend::optimize).
+ExecResult execute(Frontend &FE, CompileOutput &Out, const ExecRequest &Req);
 
 } // namespace fg
 

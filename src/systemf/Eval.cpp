@@ -201,10 +201,6 @@ EvalResult Evaluator::applyImpl(const ValuePtr &Fn,
   case ValueKind::TyClosure:
     return EvalResult::failure("attempt to call a non-function value `" +
                                valueToString(Fn.get()) + "`");
-  case ValueKind::CompiledClosure:
-  case ValueKind::CompiledTyClosure:
-    return EvalResult::failure("compiled closure passed to the "
-                               "tree-walking evaluator");
   case ValueKind::VmClosure:
   case ValueKind::VmTyClosure:
     return EvalResult::failure("VM closure passed to the tree-walking "

@@ -22,7 +22,8 @@
 ///
 /// On Figure 5's accumulate this turns every `Monoid<int>.binary_op`
 /// into a direct reference to `iadd`, eliminating the dictionary
-/// entirely — the "abstraction penalty" ablation measured in BenchEval.
+/// entirely — the "abstraction penalty" ablation measured in
+/// BenchEngines.
 ///
 /// The result is still plain System F: tests re-check it with the
 /// independent typechecker and compare evaluation results.

@@ -162,12 +162,10 @@ std::string fg::sf::valueToString(const Value *V) {
       break;
     }
     case ValueKind::Closure:
-    case ValueKind::CompiledClosure:
     case ValueKind::VmClosure:
       S += "<closure>";
       break;
     case ValueKind::TyClosure:
-    case ValueKind::CompiledTyClosure:
     case ValueKind::VmTyClosure:
       S += "<tyclosure>";
       break;
@@ -229,8 +227,6 @@ bool fg::sf::valueEquals(const Value *A, const Value *B) {
     case ValueKind::TyClosure:
     case ValueKind::Fix:
     case ValueKind::Builtin:
-    case ValueKind::CompiledClosure:
-    case ValueKind::CompiledTyClosure:
     case ValueKind::VmClosure:
     case ValueKind::VmTyClosure:
       return false; // Distinct function values are never equal.

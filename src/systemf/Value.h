@@ -97,10 +97,6 @@ enum class ValueKind : uint8_t {
   TyClosure,
   Fix,
   Builtin,
-  /// Closures of the closure-compiling engine (systemf/Compile.h);
-  /// never observed by the tree-walking evaluator.
-  CompiledClosure,
-  CompiledTyClosure,
   /// Closures of the bytecode VM (vm/VM.h); the classes live in the vm
   /// library, only the kinds are shared so printing and the foreign-
   /// closure errors of the other engines stay exhaustive.

@@ -290,36 +290,46 @@ std::string checkOne(const std::string &Source, unsigned Index,
     return "compilation failed: " + Out.ErrorMessage;
 
   {
-    // Optimize up front (at the requested specialization level) so the
-    // `optimized` backend below evaluates exactly the pipeline under
-    // test, with per-pass re-typechecking when requested.
+    // Optimize up front (at the sweep's specialization level) so the
+    // optimized runs below execute exactly the pipeline under test, with
+    // per-pass re-typechecking when requested; execute() reuses the
+    // term this builds.
     Validator V(FE.getSfContext(), FE.getPrelude().Types);
     sf::OptimizeOptions OptOpts;
     OptOpts.Specialize = Opts.Specialize;
     if (Opts.ValidatePasses)
       OptOpts.PassHook = V.passHook(Out.SfType);
-    sf::OptimizeStats Stats;
-    FE.optimize(Out, &Stats, OptOpts);
+    FE.optimize(Out, nullptr, OptOpts);
     if (V.failed())
       return V.error();
   }
 
   struct Outcome {
-    const char *Name;
+    std::string Name;
     bool Ok;
     std::string Rendered;
   };
   std::vector<Outcome> Results;
-  auto addSf = [&](const char *Name, const sf::EvalResult &R) {
+  auto addRun = [&](Backend B, std::optional<sf::SpecializeLevel> Level) {
+    ExecRequest Req;
+    Req.Engine = B;
+    Req.Level = Level;
+    Req.Toolchain = Opts.AotToolchain;
+    ExecResult R = execute(FE, Out, Req);
+    std::string Name = backendName(B);
+    if (Level)
+      Name += std::string(" at --specialize=") +
+              sf::specializeLevelName(*Level);
     Results.push_back(
         {Name, R.ok(), R.ok() ? sf::valueToString(R.Val) : R.Error});
   };
-  addSf("tree", FE.run(Out));
-  addSf("closure", FE.runCompiled(Out));
-  addSf("vm", FE.runVm(Out));
-  addSf("optimized", FE.runOptimized(Out));
-  if (Opts.IncludeAot)
-    addSf("aot", FE.runAot(Out, sf::EvalOptions(), Opts.AotToolchain));
+  // Every backend on the translation as is (the tree walker first, as
+  // the reference), then the in-process engines at the sweep's level.
+  for (const BackendInfo &B : backendRegistry())
+    if (B.Kind != Backend::Aot || Opts.IncludeAot)
+      addRun(B.Kind, std::nullopt);
+  addRun(Backend::Tree, Opts.Specialize);
+  addRun(Backend::Vm, Opts.Specialize);
   interp::EvalResult Direct = FE.runDirect(Out);
   Results.push_back({"direct", Direct.ok(),
                      Direct.ok() ? interp::valueToString(Direct.Val)
@@ -330,9 +340,9 @@ std::string checkOne(const std::string &Source, unsigned Index,
     return "generated program failed at runtime: " + Ref.Rendered;
   for (size_t I = 1; I != Results.size(); ++I)
     if (Results[I].Ok != Ref.Ok || Results[I].Rendered != Ref.Rendered)
-      return std::string("backend `") + Results[I].Name +
-             "` disagrees with `" + Ref.Name + "`: `" + Results[I].Rendered +
-             "` vs `" + Ref.Rendered + "`";
+      return "backend `" + Results[I].Name + "` disagrees with `" +
+             Ref.Name + "`: `" + Results[I].Rendered + "` vs `" +
+             Ref.Rendered + "`";
   return {};
 }
 

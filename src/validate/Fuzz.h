@@ -11,8 +11,9 @@
 /// constraints, generic functions, fixpoints — and a runner that
 /// drives the whole validation surface with them: Theorems 1 and 2
 /// after Translate, per-pass re-typechecking through Optimize, and
-/// the cross-backend differential contract (tree / closure / vm must
-/// agree, and both must agree with the direct F_G interpreter).
+/// the cross-backend differential contract (every backend, unoptimized
+/// and at the sweep's level, must agree with the tree walker and with
+/// the direct F_G interpreter).
 ///
 /// Exposed by the driver as `fgc --fuzz N --seed S`.  Determinism is
 /// part of the contract: (Seed, Index) fully determines a program, so
@@ -38,9 +39,9 @@ struct FuzzOptions {
   unsigned Count = 100;        ///< Number of programs to generate.
   uint64_t Seed = 42;          ///< Base seed; program i uses (Seed, i).
   bool ValidatePasses = true;  ///< Re-typecheck every optimizer pass.
-  /// Specialization level the optimizer runs at while fuzzing; the
-  /// `optimized` backend then cross-checks specialized evaluation
-  /// against every other backend.
+  /// Specialization level the optimizer runs at while fuzzing; the tree
+  /// and vm engines then run the optimized term, cross-checked against
+  /// every unoptimized run.
   sf::SpecializeLevel Specialize = sf::SpecializeLevel::Off;
   /// Also run every program through the AOT backend (aot/Aot.h) and
   /// hold it to the same identical-outcome contract.  Opt-in (driver
@@ -73,8 +74,9 @@ std::string generateProgram(uint64_t Seed, unsigned Index);
 
 /// Generates and checks \p Opts.Count programs: compile with
 /// translation verification, optimize with per-pass validation (when
-/// ValidatePasses), then run tree/closure/vm plus the direct F_G
-/// interpreter and require identical outcomes.
+/// ValidatePasses), then run every backend at -O0, tree and vm at the
+/// sweep's level, and the direct F_G interpreter, and require identical
+/// outcomes.
 FuzzResult runFuzz(const FuzzOptions &Opts);
 
 } // namespace validate

@@ -33,8 +33,7 @@
 /// charged — a fused instruction charges exactly the steps of the pair
 /// it replaces.
 ///
-/// An unbound name is a compile-time error (the same contract as
-/// sf::CompiledTerm::compile).
+/// An unbound name is a compile-time error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +59,8 @@ struct EmitOptions {
 };
 
 /// The process-wide default used when compile() is not given explicit
-/// options (Frontend::runVm, the fuzzer, fgcd sessions).
+/// options (fg::execute, and through it the driver, the fuzzer and fgcd
+/// sessions).
 EmitOptions &defaultEmitOptions();
 
 /// Compiles \p T against prelude \p P.  Returns null (with \p ErrorOut

@@ -14,9 +14,9 @@ using namespace fg;
 using namespace fg::vm;
 using namespace fg::sf;
 
-// Abort diagnostics are shared verbatim with systemf/Eval.cpp and
-// systemf/Compile.cpp so a divergent program reports identically on
-// every backend (tests/Differential.h enforces this).
+// Abort diagnostics are shared verbatim with systemf/Eval.cpp so a
+// divergent program reports identically on every backend
+// (tests/Differential.h enforces this).
 static const char *StepLimitMsg = "evaluation exceeded the step limit";
 static const char *DepthLimitMsg =
     "evaluation exceeded the recursion depth limit";

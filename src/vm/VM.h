@@ -6,11 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The third System F execution backend: a dispatch-loop interpreter
+/// The second System F execution backend: a dispatch-loop interpreter
 /// over the register bytecode of vm/Bytecode.h.  Where the tree walker
-/// (systemf/Eval.h) recurses over terms and the closure compiler
-/// (systemf/Compile.h) recurses over std::function trees, the VM runs
-/// a single loop over explicit call frames:
+/// (systemf/Eval.h) recurses over terms, the VM runs a single loop over
+/// explicit call frames:
 ///
 ///  * every frame owns a fixed register file (parameters, flattened
 ///    `let` slots, and expression temporaries), a window of one
@@ -29,7 +28,7 @@
 ///
 /// Observationally equivalent to the other backends — the same values,
 /// the same runtime errors, and the same EvalOptions step/depth abort
-/// diagnostics; tests/Differential.h pins all four together.
+/// diagnostics; tests/Differential.h pins every backend together.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -57,16 +57,30 @@ uint64_t counter(const char *Name) {
   return stats::Statistics::global().counter(Name).load();
 }
 
+/// Runs \p Out's translation on the AOT backend.
+ExecResult runOnAot(Frontend &FE, CompileOutput &Out,
+                    const sf::EvalOptions &Opts,
+                    const aot::ToolchainOptions &Toolchain =
+                        aot::ToolchainOptions(),
+                    aot::RunInfo *Info = nullptr) {
+  ExecRequest Req;
+  Req.Engine = Backend::Aot;
+  Req.Eval = Opts;
+  Req.Toolchain = Toolchain;
+  Req.AotInfo = Info;
+  return execute(FE, Out, Req);
+}
+
 /// Compiles \p Source and runs it on the AOT backend.
-sf::EvalResult runAotSource(Frontend &FE, const std::string &Source,
-                            const sf::EvalOptions &Opts,
-                            const aot::ToolchainOptions &Toolchain,
-                            aot::RunInfo *Info = nullptr) {
+ExecResult runAotSource(Frontend &FE, const std::string &Source,
+                        const sf::EvalOptions &Opts,
+                        const aot::ToolchainOptions &Toolchain,
+                        aot::RunInfo *Info = nullptr) {
   CompileOutput Out = FE.compile("aot-test.fg", Source);
   EXPECT_TRUE(Out.Success) << Out.ErrorMessage;
   if (!Out.Success)
     return sf::EvalResult::failure(Out.ErrorMessage);
-  return FE.runAot(Out, Opts, Toolchain, Info);
+  return runOnAot(FE, Out, Opts, Toolchain, Info);
 }
 
 TEST(AotValueTest, RenderedValuesRoundTrip) {
@@ -201,7 +215,7 @@ TEST(AotExecTest, StepLimitAbortMatchesTreeByteForByte) {
   CompileOutput Out = FE.compile("aot-test.fg", Diverge);
   ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
   sf::EvalResult Tree = FE.run(Out, Opts);
-  sf::EvalResult Aot = FE.runAot(Out, Opts);
+  sf::EvalResult Aot = runOnAot(FE, Out, Opts);
   ASSERT_FALSE(Tree.ok());
   ASSERT_FALSE(Aot.ok());
   EXPECT_EQ(Tree.Error, Aot.Error);
@@ -219,7 +233,7 @@ TEST(AotExecTest, DepthLimitAbortMatchesTreeByteForByte) {
   CompileOutput Out = FE.compile("aot-test.fg", Diverge);
   ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
   sf::EvalResult Tree = FE.run(Out, Opts);
-  sf::EvalResult Aot = FE.runAot(Out, Opts);
+  sf::EvalResult Aot = runOnAot(FE, Out, Opts);
   ASSERT_FALSE(Tree.ok());
   ASSERT_FALSE(Aot.ok());
   EXPECT_EQ(Tree.Error, Aot.Error);
@@ -239,20 +253,19 @@ TEST(AotExecTest, DepthLimitAbortMatchesTreeByteForByte) {
 //    reference accounting does, with the identical diagnostic — the
 //    staircase adjudication inside a coalesced segment must pick the
 //    same limit the tree evaluator would have tripped first.
-//  * across all four backends, abort *diagnostics* are byte-identical:
-//    the closure and VM engines charge per executed operation of their
-//    own compiled forms (their thresholds differ by design), but a
-//    program that exhausts a limit must report the same error string
-//    everywhere — Differential.h asserts that at every point where all
-//    backends abort.
+//  * across all backends, abort *diagnostics* are byte-identical: the
+//    VM charges per executed operation of its own compiled form (its
+//    thresholds differ by design), but a program that exhausts a limit
+//    must report the same error string everywhere — Differential.h
+//    asserts that at every point where all backends abort.
 
 /// Runs tree and AOT at the given limits and EXPECTs identical
 /// outcomes, success or abort.  Returns the tree outcome.
-sf::EvalResult expectTreeAotParity(Frontend &FE, const CompileOutput &Out,
+sf::EvalResult expectTreeAotParity(Frontend &FE, CompileOutput &Out,
                                    const sf::EvalOptions &Opts,
                                    const std::string &Context) {
   sf::EvalResult Tree = FE.run(Out, Opts);
-  sf::EvalResult Aot = FE.runAot(Out, Opts);
+  sf::EvalResult Aot = runOnAot(FE, Out, Opts);
   EXPECT_EQ(Tree.ok(), Aot.ok())
       << Context << ": tree " << (Tree.ok() ? "succeeded" : Tree.Error)
       << " but aot " << (Aot.ok() ? "succeeded" : Aot.Error);
@@ -365,9 +378,9 @@ TEST(AotAbortParityTest, DivergingProgramAbortsIdenticallyOnAllBackends) {
   SKIP_WITHOUT_TOOLCHAIN();
   // A diverging loop exhausts whichever limit binds first on *every*
   // backend; the rendered diagnostics must be byte-identical across
-  // all four, at step-bound and depth-bound points alike (the
-  // closure/VM engines count their own operations, so the points are
-  // chosen so each backend is certain to abort).
+  // all of them, at step-bound and depth-bound points alike (the VM
+  // counts its own operations, so the points are chosen so each
+  // backend is certain to abort).
   const std::string Src =
       "let loop = fix (fun(f : fn(int) -> int). fun(n : int). f(n)) in\n"
       "loop(0)";
@@ -400,9 +413,9 @@ TEST(AotExecTest, MissingCompilerFailsWithActionableError) {
   Frontend FE;
   aot::ToolchainOptions TO;
   TO.Cxx = "/nonexistent/cxx";
-  sf::EvalResult R = runAotSource(FE, "1", sf::EvalOptions(), TO);
+  ExecResult R = runAotSource(FE, "1", sf::EvalOptions(), TO);
   ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.Error.find("aot:"), std::string::npos) << R.Error;
+  EXPECT_TRUE(R.Unavailable) << R.Error;
   EXPECT_NE(R.Error.find("/nonexistent/cxx"), std::string::npos) << R.Error;
 }
 
@@ -422,13 +435,14 @@ TEST(AotExecTest, SpecializedTermRunsIdentically) {
   sf::EvalResult Tree = FE.run(Out);
   ASSERT_TRUE(Tree.ok()) << Tree.Error;
 
-  sf::OptimizeOptions OO;
-  OO.Specialize = sf::SpecializeLevel::Full;
-  sf::OptimizeStats Stats;
-  const sf::Term *T = FE.optimize(Out, &Stats, OO);
-  ASSERT_NE(T, nullptr);
-  sf::EvalResult Aot = aot::runAot(T, FE.getPrelude());
+  ExecRequest Req;
+  Req.Engine = Backend::Aot;
+  Req.Level = sf::SpecializeLevel::Full;
+  aot::RunInfo Info;
+  Req.AotInfo = &Info;
+  ExecResult Aot = execute(FE, Out, Req);
   ASSERT_TRUE(Aot.ok()) << Aot.Error;
+  EXPECT_FALSE(Info.ExePath.empty());
   EXPECT_EQ(sf::valueToString(Tree.Val), sf::valueToString(Aot.Val));
 }
 

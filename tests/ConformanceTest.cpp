@@ -13,7 +13,7 @@
 // Programs without EXPECT-ERROR are additionally required to verify in
 // System F (Theorems 1/2), to produce the same value under the direct
 // interpreter, and to behave identically on every execution backend
-// (tree / closure / vm — see Differential.h), whether they produce a
+// (tree / vm / aot — see Differential.h), whether they produce a
 // value or a runtime error.
 //
 //===----------------------------------------------------------------------===//
@@ -140,8 +140,8 @@ TEST_P(Conformance, MeetsExpectations) {
       << GetParam() << ": validator rejected pass "
       << SStats.AbortedOnPass;
   std::vector<fgtest::BackendOutcome> SpecOutcomes = fgtest::runAllBackends(
-      FE, fgtest::withSfTerm(Out, Spec), sf::EvalOptions(),
-      GetParam() + " (specialized)");
+      FE, Out, sf::EvalOptions(), GetParam() + " (specialized)",
+      sf::SpecializeLevel::Full);
   EXPECT_EQ(Outcomes.front().Ok, SpecOutcomes.front().Ok)
       << GetParam() << ": specialization changed the outcome kind ("
       << Outcomes.front().Rendered << " vs "

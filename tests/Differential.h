@@ -7,26 +7,22 @@
 ///
 /// \file
 /// The differential-testing contract for execution backends: any
-/// compiled program, run through every System F engine — the
-/// tree-walking evaluator (systemf/Eval.h), the closure-compiling
-/// engine (systemf/Compile.h), and the bytecode VM (vm/VM.h) — must
-/// produce the identical outcome: the same printed value on success,
-/// or the same error string on failure (including the EvalOptions
-/// step/depth abort diagnostics).
+/// compiled program, run through every registered System F engine
+/// (support/Backends.h) by fg::execute, must produce the identical
+/// outcome: the same printed value on success, or the same error string
+/// on failure (including the EvalOptions step/depth abort diagnostics).
 ///
 /// ConformanceTest routes the whole corpus through here and VmTest
 /// adds the examples and limit cases, so a future backend gets
-/// coverage by adding one line to backends() below.
+/// coverage by being registered.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FG_TESTS_DIFFERENTIAL_H
 #define FG_TESTS_DIFFERENTIAL_H
 
-#include "aot/Toolchain.h"
 #include "syntax/Frontend.h"
 #include <cstdio>
-#include <functional>
 #include <gtest/gtest.h>
 #include <string>
 #include <vector>
@@ -40,75 +36,35 @@ struct BackendOutcome {
   std::string Rendered; ///< Printed value when Ok, error otherwise.
 };
 
-/// One registered execution backend.
-struct Backend {
-  std::string Name;
-  std::function<fg::sf::EvalResult(fg::Frontend &, const fg::CompileOutput &,
-                                   const fg::sf::EvalOptions &)>
-      Run;
-};
-
-/// Every System F execution backend.  New engines join the differential
-/// contract by being added here.  The AOT backend needs a host C++
-/// compiler; when none is available it is skipped with a one-time
-/// notice rather than failing the whole suite (CI without a toolchain
-/// still verifies the in-process engines).
-inline const std::vector<Backend> &backends() {
-  static const std::vector<Backend> All = [] {
-    std::vector<Backend> Engines = {
-        {"tree",
-         [](fg::Frontend &FE, const fg::CompileOutput &Out,
-            const fg::sf::EvalOptions &Opts) { return FE.run(Out, Opts); }},
-        {"closure",
-         [](fg::Frontend &FE, const fg::CompileOutput &Out,
-            const fg::sf::EvalOptions &Opts) {
-           return FE.runCompiled(Out, Opts);
-         }},
-        {"vm",
-         [](fg::Frontend &FE, const fg::CompileOutput &Out,
-            const fg::sf::EvalOptions &Opts) { return FE.runVm(Out, Opts); }},
-    };
-    std::string WhyNot;
-    if (fg::aot::toolchainAvailable(fg::aot::ToolchainOptions(), &WhyNot))
-      Engines.push_back(
-          {"aot", [](fg::Frontend &FE, const fg::CompileOutput &Out,
-                     const fg::sf::EvalOptions &Opts) {
-             return FE.runAot(Out, Opts);
-           }});
-    else
-      std::fprintf(stderr,
-                   "differential: skipping the aot backend: %s\n",
-                   WhyNot.c_str());
-    return Engines;
-  }();
-  return All;
-}
-
-/// A copy of \p Out whose System F term is \p T — the hook for running
-/// the backends over a *rewritten* (specialized) term: the copy rides
-/// through runAllBackends and every engine compiles/evaluates T in
-/// place of the original translation.
-inline fg::CompileOutput withSfTerm(const fg::CompileOutput &Out,
-                                    const fg::sf::Term *T) {
-  fg::CompileOutput Copy = Out;
-  Copy.SfTerm = T;
-  return Copy;
-}
-
-/// Runs \p Out through every backend and EXPECTs pairwise-identical
+/// Runs \p Out through every registered backend at optimization level
+/// \p Level (unset: the translation as is) and EXPECTs pairwise-identical
 /// outcomes (success flag and rendered value/error).  Returns the
 /// outcomes, reference (tree) backend first; \p Context names the
-/// program in failure messages.
+/// program in failure messages.  A backend that cannot run here (AOT
+/// without a host C++ compiler) is skipped with a one-time notice
+/// rather than failing the suite.
 inline std::vector<BackendOutcome>
-runAllBackends(fg::Frontend &FE, const fg::CompileOutput &Out,
+runAllBackends(fg::Frontend &FE, fg::CompileOutput &Out,
                const fg::sf::EvalOptions &Opts = fg::sf::EvalOptions(),
-               const std::string &Context = std::string()) {
+               const std::string &Context = std::string(),
+               std::optional<fg::sf::SpecializeLevel> Level = std::nullopt) {
   std::vector<BackendOutcome> Results;
-  for (const Backend &B : backends()) {
-    fg::sf::EvalResult R = B.Run(FE, Out, Opts);
+  for (const fg::BackendInfo &B : fg::backendRegistry()) {
+    fg::ExecRequest Req;
+    Req.Engine = B.Kind;
+    Req.Level = Level;
+    Req.Eval = Opts;
+    fg::ExecResult R = fg::execute(FE, Out, Req);
+    if (R.Unavailable) {
+      static bool Noted = false;
+      if (!Noted)
+        std::fprintf(stderr, "differential: skipping the %s backend: %s\n",
+                     B.Name, R.Error.c_str());
+      Noted = true;
+      continue;
+    }
     Results.push_back(
-        {B.Name, R.ok(),
-         R.ok() ? fg::sf::valueToString(R.Val) : R.Error});
+        {B.Name, R.ok(), R.ok() ? fg::sf::valueToString(R.Val) : R.Error});
   }
   const BackendOutcome &Ref = Results.front();
   for (size_t I = 1; I < Results.size(); ++I) {

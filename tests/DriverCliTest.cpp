@@ -15,10 +15,13 @@
 //     one registry (support/Backends.h), so registering an engine
 //     without surfacing it in the help is a test failure;
 //   * `--backend=aot` without a usable host compiler degrades
-//     gracefully: exit 2 with a one-line actionable diagnostic.
+//     gracefully: exit 2 with a one-line actionable diagnostic;
+//   * every backend runs the term the optimization level selects, as
+//     the `--stats-json` counters of each (backend, -O) cell prove.
 //
 //===----------------------------------------------------------------------===//
 
+#include "aot/Toolchain.h"
 #include "support/Backends.h"
 #include <cstdio>
 #include <filesystem>
@@ -157,6 +160,76 @@ TEST(DriverCliTest, AotWithoutHostCompilerIsActionableExit2) {
   EXPECT_NE(Err.find("--backend=aot is unavailable"), std::string::npos)
       << Err;
   EXPECT_NE(Err.find("/nonexistent/cxx"), std::string::npos) << Err;
+}
+
+//===----------------------------------------------------------------------===//
+// The backend x -O matrix: the counters prove which engine ran which term.
+//===----------------------------------------------------------------------===//
+
+/// The value of counter \p Name in a `--stats-json=-` report, or -1 when
+/// the report does not list it.
+long long statCounter(const std::string &Report, const std::string &Name) {
+  std::string Key = "\"" + Name + "\": ";
+  size_t At = Report.find(Key);
+  return At == std::string::npos ? -1
+                                 : std::stoll(Report.substr(At + Key.size()));
+}
+
+const std::string Figure5 =
+    std::string(FG_EXAMPLES_DIR) + "/figure5_accumulate.fg";
+const char *const OptLevels[] = {"", "-O1", "-O2"};
+
+TEST(DriverCliTest, TreeAndVmRunTheTermTheLevelSelects) {
+  long long VmInstructions[3] = {};
+  for (fg::Backend B : {fg::Backend::Tree, fg::Backend::Vm})
+    for (int L = 0; L != 3; ++L) {
+      std::string Args = std::string(OptLevels[L]) + " --backend=" +
+                         fg::backendName(B) + " --stats-json=- " + Figure5;
+      RunResult R = runFgc(Args);
+      ASSERT_EQ(R.ExitCode, 0) << Args << "\n" << R.Stderr;
+      EXPECT_NE(R.Stdout.find("value: 3\n"), std::string::npos) << Args;
+      // Only -O2 specializes; -O1 runs the baseline pipeline's term.
+      EXPECT_EQ(R.Stdout.find("\"specialize.") == std::string::npos, L != 2)
+          << Args;
+      if (B == fg::Backend::Tree) {
+        EXPECT_GT(statCounter(R.Stdout, "eval.steps"), 0) << Args;
+        EXPECT_EQ(R.Stdout.find("\"vm."), std::string::npos)
+            << Args << ": the tree walker ran, yet a vm counter moved";
+      } else {
+        VmInstructions[L] = statCounter(R.Stdout, "vm.instructions");
+        EXPECT_GT(VmInstructions[L], 0) << Args;
+      }
+    }
+  EXPECT_EQ(VmInstructions[0], 87) << "the translation as is";
+  EXPECT_EQ(VmInstructions[2], 63) << "the -O2-specialized term";
+  EXPECT_LT(VmInstructions[1], VmInstructions[0]) << "the -O1 term";
+}
+
+TEST(DriverCliTest, CheckOnlyOptimizesOnlyForTheBytecodeDump) {
+  RunResult R = runFgc("--check -O2 --stats-json=- " + Figure5);
+  ASSERT_EQ(R.ExitCode, 0) << R.Stderr;
+  EXPECT_EQ(R.Stdout.find("\"optimize."), std::string::npos)
+      << "nothing uses the optimized term: " << R.Stdout;
+  EXPECT_EQ(R.Stdout.find("\"specialize."), std::string::npos) << R.Stdout;
+  RunResult D = runFgc("--check -O2 --dump-bytecode --stats-json=- " + Figure5);
+  ASSERT_EQ(D.ExitCode, 0) << D.Stderr;
+  EXPECT_NE(D.Stdout.find("\"specialize."), std::string::npos)
+      << "--dump-bytecode shows the -O2 term: " << D.Stdout;
+}
+
+TEST(DriverCliTest, AotRunsTheTermTheLevelSelects) {
+  if (!fg::aot::toolchainAvailable())
+    GTEST_SKIP() << "no host C++ compiler available";
+  for (int L : {0, 2}) {
+    std::string Args = std::string(OptLevels[L]) +
+                       " --backend=aot --stats-json=- " + Figure5;
+    RunResult R = runFgc(Args);
+    ASSERT_EQ(R.ExitCode, 0) << Args << "\n" << R.Stderr;
+    EXPECT_NE(R.Stdout.find("value: 3\n"), std::string::npos) << Args;
+    EXPECT_EQ(statCounter(R.Stdout, "aot.runs"), 1) << Args;
+    EXPECT_EQ(R.Stdout.find("\"specialize.") == std::string::npos, L == 0)
+        << Args << ": only -O2 runs the specialized term";
+  }
 }
 
 //===----------------------------------------------------------------------===//

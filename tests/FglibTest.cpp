@@ -16,7 +16,7 @@
 // These tests are the library's conformance contract:
 //
 //   * whole-program link runs identically on every execution backend
-//     (tree / closure / vm, plus aot when a host toolchain exists);
+//     (tree / vm, plus aot when a host toolchain exists);
 //   * -O2 whole-program specialization preserves the value and keeps
 //     the term well-typed after every pass;
 //   * the batch checker compiles all 21 modules separately against
@@ -114,8 +114,8 @@ TEST(FglibTest, SpecializationPreservesValueAndTyping) {
       << "validator rejected pass " << SStats.AbortedOnPass;
 
   std::vector<fgtest::BackendOutcome> Outcomes = fgtest::runAllBackends(
-      FE, fgtest::withSfTerm(Out, Spec), sf::EvalOptions(),
-      "fglib (specialized)");
+      FE, Out, sf::EvalOptions(), "fglib (specialized)",
+      sf::SpecializeLevel::Full);
   ASSERT_TRUE(Outcomes.front().Ok) << Outcomes.front().Rendered;
   EXPECT_EQ(Outcomes.front().Rendered, FglibValue);
 }

@@ -161,9 +161,9 @@ TEST(MemoryTest, MillionElementListBuildAndDropOnEveryBackend) {
   // Builds a 100*100*100 = 1,000,000-element list with shallow call
   // depth (~300 frames: the in-process engines evaluate on the native
   // stack), reads its head, and lets the spine die.  Every backend
-  // must agree on the value *and* survive the teardown — the tree,
-  // closure, and VM engines through the interpreter values' iterative
-  // destructors, the AOT binary through its work-list destroy().
+  // must agree on the value *and* survive the teardown — the tree and
+  // VM engines through the interpreter values' iterative destructors,
+  // the AOT binary through its work-list destroy().
   const std::string Src = R"(
     let chunk = fix (fun(go : fn(int, list int) -> list int).
       fun(k : int, acc : list int).

@@ -20,6 +20,13 @@ using namespace fg;
 
 namespace {
 
+/// Runs the -O1-optimized term of \p Out on the tree walker.
+sf::EvalResult runO1(Frontend &FE, CompileOutput &Out) {
+  ExecRequest Req;
+  Req.Level = sf::SpecializeLevel::Off;
+  return execute(FE, Out, Req);
+}
+
 /// Compiles, optimizes, and checks type+semantics preservation.
 /// Returns the stats and printed optimized term via out-params.
 void optimizeAndCheck(const std::string &Source, sf::OptimizeStats &Stats,
@@ -42,7 +49,7 @@ void optimizeAndCheck(const std::string &Source, sf::OptimizeStats &Stats,
 
   // Semantics preservation.
   sf::EvalResult Before = FE.run(Out);
-  sf::EvalResult After = FE.runOptimized(Out);
+  sf::EvalResult After = runO1(FE, Out);
   ASSERT_EQ(Before.ok(), After.ok()) << Before.Error << " / " << After.Error;
   if (Before.ok())
     EXPECT_EQ(sf::valueToString(Before.Val), sf::valueToString(After.Val));
@@ -82,7 +89,7 @@ TEST(OptimizeTest, KeepsImpureLets) {
   Frontend FE;
   CompileOutput Out = FE.compile("t", "let x = car[int](nil[int]) in 5");
   ASSERT_TRUE(Out.Success);
-  sf::EvalResult R = FE.runOptimized(Out);
+  sf::EvalResult R = runO1(FE, Out);
   EXPECT_FALSE(R.ok()) << "effectful let must be preserved";
 }
 
@@ -145,7 +152,7 @@ TEST(OptimizeTest, CaptureAvoidanceInLetInlining) {
     let d = x in
     (fun(x : int). iadd(d, x))(3))");
   ASSERT_TRUE(Out.Success);
-  sf::EvalResult R = FE.runOptimized(Out);
+  sf::EvalResult R = runO1(FE, Out);
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(sf::valueToString(R.Val), "13");
 }
@@ -160,7 +167,7 @@ TEST(OptimizeTest, CaptureAvoidanceInBetaReduction) {
       (fun(y : int). iadd(y, x), 1))");
   ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
   sf::EvalResult Before = FE.run(Out);
-  sf::EvalResult After = FE.runOptimized(Out);
+  sf::EvalResult After = runO1(FE, Out);
   ASSERT_TRUE(Before.ok());
   ASSERT_TRUE(After.ok()) << After.Error;
   EXPECT_EQ(sf::valueToString(Before.Val), "101");

@@ -72,7 +72,9 @@ void specializeAndCheck(const std::string &Source, sf::SpecializeLevel Level,
   EXPECT_EQ(SpecTy, Out.SfType) << "specialization changed the program type";
 
   sf::EvalResult Before = FE.run(Out);
-  sf::EvalResult After = FE.runOptimized(Out);
+  ExecRequest Req;
+  Req.Level = Level; // Reuses Spec: optimize() memoizes per level.
+  sf::EvalResult After = execute(FE, Out, Req);
   ASSERT_EQ(Before.ok(), After.ok()) << Before.Error << " / " << After.Error;
   if (Before.ok())
     EXPECT_EQ(sf::valueToString(Before.Val), sf::valueToString(After.Val));
@@ -223,6 +225,31 @@ TEST(SpecializeTest, OffLevelReproducesO1Pipeline) {
   EXPECT_EQ(sf::termToString(O1), sf::termToString(Off));
   EXPECT_EQ(OffStats.ClonesCreated, 0u);
   EXPECT_EQ(OffStats.MembersDevirtualized, 0u);
+}
+
+TEST(SpecializeTest, OptimizeMemoIsPerLevel) {
+  // The memoized term belongs to the level that built it: optimizing at
+  // Off and then at Full must return the Full term, not the Off one,
+  // and a repeat at Full (no stats asked) must reuse it.
+  Frontend FE;
+  CompileOutput Out = FE.compile("spec.fg", LambdaWitnessSource);
+  ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
+  sf::OptimizeOptions OffOpts, FullOpts;
+  FullOpts.Specialize = sf::SpecializeLevel::Full;
+
+  const sf::Term *Off = FE.optimize(Out, nullptr, OffOpts);
+  const sf::Term *Full = FE.optimize(Out, nullptr, FullOpts);
+  EXPECT_NE(sf::termToString(Off), sf::termToString(Full));
+  EXPECT_EQ(Out.SfOptimizedLevel, sf::SpecializeLevel::Full);
+
+  Frontend Fresh;
+  CompileOutput FreshOut = Fresh.compile("spec.fg", LambdaWitnessSource);
+  ASSERT_TRUE(FreshOut.Success) << FreshOut.ErrorMessage;
+  EXPECT_EQ(sf::termToString(Full),
+            sf::termToString(Fresh.optimize(FreshOut, nullptr, FullOpts)))
+      << "the second call must specialize at Full";
+  EXPECT_EQ(FE.optimize(Out, nullptr, FullOpts), Full)
+      << "a repeat at the same level must reuse the memoized term";
 }
 
 TEST(SpecializeTest, ValidatorAcceptsEveryPass) {

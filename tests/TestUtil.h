@@ -25,10 +25,11 @@ struct RunResult {
   std::string Error;   ///< First diagnostic or runtime error.
 };
 
-/// Compiles (with Theorem-1/2 verification) and runs \p Source.  Also
-/// runs the specializer (systemf/Optimize.h) and asserts it preserves
-/// the result, so every test routed through this helper exercises the
-/// optimizer as well.
+/// Compiles (with Theorem-1/2 verification) and runs \p Source on the
+/// tree walker.  Also runs the -O1-optimized term (systemf/Optimize.h)
+/// and the bytecode VM through fg::execute and asserts both preserve
+/// the outcome, so every test routed through this helper exercises the
+/// optimizer and the VM as well.
 inline RunResult runFg(const std::string &Source) {
   fg::Frontend FE;
   RunResult R;
@@ -48,41 +49,26 @@ inline RunResult runFg(const std::string &Source) {
   else
     R.Error = E.Error;
 
-  // Specialization must not change the observable outcome.
-  fg::sf::EvalResult O = FE.runOptimized(Out);
-  EXPECT_EQ(E.ok(), O.ok())
-      << "specializer changed success/failure: " << E.Error << " vs "
-      << O.Error << "\nprogram:\n"
-      << Source;
-  if (E.ok() && O.ok())
-    EXPECT_EQ(fg::sf::valueToString(E.Val), fg::sf::valueToString(O.Val))
-        << "specializer changed the value of:\n"
-        << Source;
-
-  // The closure-compiling engine must agree as well.
-  fg::sf::EvalResult C = FE.runCompiled(Out);
-  EXPECT_EQ(E.ok(), C.ok())
-      << "compiled engine changed success/failure: " << E.Error << " vs "
-      << C.Error << "\nprogram:\n"
-      << Source;
-  if (E.ok() && C.ok())
-    EXPECT_EQ(fg::sf::valueToString(E.Val), fg::sf::valueToString(C.Val))
-        << "compiled engine changed the value of:\n"
-        << Source;
-
-  // And the bytecode VM, including on runtime errors.
-  fg::sf::EvalResult V = FE.runVm(Out);
-  EXPECT_EQ(E.ok(), V.ok())
-      << "vm backend changed success/failure: " << E.Error << " vs "
-      << V.Error << "\nprogram:\n"
-      << Source;
-  if (E.ok() && V.ok())
-    EXPECT_EQ(fg::sf::valueToString(E.Val), fg::sf::valueToString(V.Val))
-        << "vm backend changed the value of:\n"
-        << Source;
-  else if (!E.ok() && !V.ok())
-    EXPECT_EQ(E.Error, V.Error) << "vm backend changed the error of:\n"
-                                << Source;
+  fg::ExecRequest Optimized;
+  Optimized.Level = fg::sf::SpecializeLevel::Off;
+  fg::ExecRequest Vm;
+  Vm.Engine = fg::Backend::Vm;
+  for (const fg::ExecRequest &Req : {Optimized, Vm}) {
+    std::string Leg = Req.Level ? "specializer" : "vm backend";
+    fg::ExecResult O = fg::execute(FE, Out, Req);
+    EXPECT_EQ(E.ok(), O.ok()) << Leg << " changed success/failure: "
+                              << E.Error << " vs " << O.Error
+                              << "\nprogram:\n"
+                              << Source;
+    if (E.ok() && O.ok()) {
+      EXPECT_EQ(fg::sf::valueToString(E.Val), fg::sf::valueToString(O.Val))
+          << Leg << " changed the value of:\n"
+          << Source;
+    } else if (!E.ok() && !O.ok() && !Req.Level) {
+      EXPECT_EQ(E.Error, O.Error) << Leg << " changed the error of:\n"
+                                  << Source;
+    }
+  }
   return R;
 }
 

@@ -10,16 +10,15 @@
 //    unbound-name rejection, disassembler output;
 //  * limit enforcement — the sf::EvalOptions step/depth aborts must
 //    fire with exactly the tree evaluator's diagnostics, on every
-//    backend (the divergence tests run all three);
+//    backend (the divergence tests run all of them);
 //  * observational equivalence — every conformance program and shipped
-//    example must produce identical outcomes on tree/closure/vm
+//    example must produce identical outcomes on every backend
 //    (Differential.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "Differential.h"
 #include "syntax/Frontend.h"
-#include "systemf/Compile.h"
 #include "vm/Disasm.h"
 #include "vm/Emit.h"
 #include "vm/VM.h"
@@ -76,11 +75,6 @@ protected:
                           const std::string &ExpectedSubstr) {
     Evaluator Tree(O);
     EvalResult RT = Tree.eval(T, ThePrelude.Values);
-    std::string Error;
-    std::unique_ptr<CompiledTerm> CT =
-        CompiledTerm::compile(T, ThePrelude, &Error);
-    ASSERT_NE(CT, nullptr) << Error;
-    EvalResult RC = CT->run(O);
     EvalResult RV = vm::runTerm(T, ThePrelude, O);
     auto Check = [&](const char *Name, const EvalResult &R) {
       EXPECT_FALSE(R.ok()) << Name << " backend did not abort";
@@ -88,9 +82,7 @@ protected:
           << Name << " backend aborted with: " << R.Error;
     };
     Check("tree", RT);
-    Check("closure", RC);
     Check("vm", RV);
-    EXPECT_EQ(RT.Error, RC.Error);
     EXPECT_EQ(RT.Error, RV.Error);
     if (fg::aot::toolchainAvailable()) {
       EvalResult RA = fg::aot::runAot(T, ThePrelude, O);
@@ -185,8 +177,8 @@ TEST_F(VmTest, LetShadowingResolvesToInnermostBinding) {
 }
 
 TEST_F(VmTest, DuplicateParameterNamesLastWins) {
-  // Matches the tree evaluator and the closure engine (pinned by
-  // CompiledEvalTest.DuplicateParameterNamesLastWins).
+  // Matches the tree evaluator (pinned by
+  // OptimizeTest.BetaInliningRespectsDuplicateParameters).
   const Type *I = Ctx.getIntType();
   const Term *T =
       A.makeApp(A.makeAbs({{"x", I}, {"x", I}}, A.makeVar("x")),
