@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <unistd.h>
 
 using namespace fg;
 using namespace fg::modules;
@@ -28,11 +29,11 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// What a finished module leaves behind for its dependents.
+/// What a finished module leaves behind for its dependents: its
+/// interface, parsed once for all of them.
 struct Product {
   bool Ok = false;
-  uint64_t Hash = 0;
-  std::string InterfaceText;
+  ParsedInterface Iface;
 };
 
 std::string cacheFileFor(const ModuleUnit &U, const BatchOptions &Opts) {
@@ -53,8 +54,24 @@ bool readFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// Checks one module against its dependencies' interfaces.  \p Deps is
-/// the module's transitive closure in dependency order (itself
+/// Writes \p Text to \p Path through a pid-suffixed temp file and a
+/// rename, so a killed batch, or another batch sharing the cache
+/// directory, never leaves a truncated interface behind.  Cache writes
+/// are best-effort: a read-only tree still batch-checks, it just cannot
+/// warm the cache.
+void publish(const std::string &Path, const std::string &Text) {
+  std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
+  bool Written = false;
+  {
+    std::ofstream OutFile(Tmp, std::ios::binary | std::ios::trunc);
+    Written = OutFile && (OutFile << Text).flush();
+  }
+  if (!Written || ::rename(Tmp.c_str(), Path.c_str()) != 0)
+    ::unlink(Tmp.c_str());
+}
+
+/// Checks one module against its dependencies' interfaces.  \p Closure
+/// is the module's transitive closure in dependency order (itself
 /// excluded); every entry's Product is complete and successful.
 void buildModule(const ModuleUnit &U,
                  const std::vector<std::string> &Closure,
@@ -68,19 +85,22 @@ void buildModule(const ModuleUnit &U,
   // turn, so any change in the dependency cone cascades here.
   std::vector<std::pair<std::string, uint64_t>> DirectDeps;
   for (const ModuleHeader::Import &Imp : U.Imports)
-    DirectDeps.emplace_back(Imp.Name, Products.at(Imp.Name).Hash);
+    DirectDeps.emplace_back(Imp.Name, Products.at(Imp.Name).Iface.Hash);
   uint64_t Expected = interfaceHash(U.Source, DirectDeps);
 
   std::string CachePath = cacheFileFor(U, Opts);
   if (Opts.UseCache) {
-    std::string Text;
-    uint64_t Stored;
-    if (readFile(CachePath, Text) && peekInterfaceHash(Text, Stored)) {
-      if (Stored == Expected) {
+    // One parse validates the stored hash, gives the stored deps for
+    // attribution, and on a hit is what dependents instantiate.  A file
+    // that does not parse is a plain miss.
+    std::string Text, Err;
+    ParsedInterface Stored;
+    if (readFile(CachePath, Text) &&
+        parseInterface(std::move(Text), Stored, Err)) {
+      if (Stored.Hash == Expected) {
         S.add("modules.cache.hits");
         Out.Ok = true;
-        Out.Hash = Expected;
-        Out.InterfaceText = std::move(Text);
+        Out.Iface = std::move(Stored);
         R.Success = true;
         R.CacheHit = true;
         return;
@@ -90,9 +110,7 @@ void buildModule(const ModuleUnit &U,
       // reproduces the stored hash, this module's own text is
       // unchanged — the invalidation cascaded transitively from a
       // dependency.  Otherwise the source itself was edited.
-      std::vector<std::pair<std::string, uint64_t>> StoredDeps;
-      if (peekInterfaceDeps(Text, StoredDeps) &&
-          interfaceHash(U.Source, StoredDeps) == Stored)
+      if (interfaceHash(U.Source, Stored.Deps) == Stored.Hash)
         S.add("modules.cache.invalidations.transitive");
       else
         S.add("modules.cache.invalidations.source");
@@ -108,8 +126,8 @@ void buildModule(const ModuleUnit &U,
   std::map<std::string, ModuleInterface> Ifaces;
   for (const std::string &Dep : Closure) {
     std::string Err;
-    if (!instantiateInterface(Products.at(Dep).InterfaceText, FE, Env,
-                              Ifaces[Dep], Err)) {
+    if (!instantiateInterface(Products.at(Dep).Iface, FE, Env, Ifaces[Dep],
+                              Err)) {
       R.Error = Err;
       return;
     }
@@ -171,17 +189,14 @@ void buildModule(const ModuleUnit &U,
     stats::ScopedTimer Timer("modules.serialize");
     Text = serializeInterface(I, Env);
   }
-  // Cache writes are best-effort: a read-only tree still batch-checks,
-  // it just cannot warm the cache.
-  if (Opts.UseCache) {
-    std::ofstream OutFile(CachePath, std::ios::binary | std::ios::trunc);
-    if (OutFile)
-      OutFile << Text;
+  if (!parseInterface(std::move(Text), Out.Iface, Err)) {
+    R.Error = "internal error: serialized interface does not parse: " + Err;
+    return;
   }
+  if (Opts.UseCache)
+    publish(CachePath, Out.Iface.Text);
   S.add("modules.compiled");
   Out.Ok = true;
-  Out.Hash = Expected;
-  Out.InterfaceText = std::move(Text);
   R.Success = true;
 }
 

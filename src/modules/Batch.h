@@ -16,7 +16,9 @@
 /// no dependency body is re-parsed or re-checked.  A successfully
 /// checked module writes its interface next to its source (or into
 /// `--module-cache`); a later batch whose recorded hash still matches
-/// skips the module entirely (an interface cache hit).
+/// skips the module entirely (an interface cache hit).  Each interface
+/// is parsed once per batch, when its cached file is read or its fresh
+/// text is written, and every dependent instantiates that parsed form.
 ///
 /// Observability (support/Stats.h): counters `modules.loaded`,
 /// `modules.compiled`, `modules.cache.hits` / `.misses` (with

@@ -10,8 +10,12 @@
 #include "syntax/Frontend.h"
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <set>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace fg;
 using namespace fg::modules;
@@ -142,10 +146,18 @@ static std::string hashToHex(uint64_t H) {
   return Buf;
 }
 
+/// `fgi <version>`: the head of every interface and the salt of every
+/// interface hash.
+static const std::string &formatTag() {
+  static const std::string Tag =
+      "fgi " + std::to_string(InterfaceFormatVersion);
+  return Tag;
+}
+
 uint64_t fg::modules::interfaceHash(
     const std::string &Source,
     const std::vector<std::pair<std::string, uint64_t>> &Deps) {
-  uint64_t H = fnv1a64("fgi 1");
+  uint64_t H = fnv1a64(formatTag());
   H = fnv1a64(Source, H);
   for (const auto &[Name, DepHash] : Deps) {
     H = fnv1a64(Name, H);
@@ -160,26 +172,43 @@ uint64_t fg::modules::interfaceHash(
 
 namespace {
 
-void writeType(std::ostream &OS, const Type *T);
+/// Writes types and concept references, recording every concept id and
+/// type-parameter id it writes, so the reference table can list exactly
+/// the imported concepts and aliases an interface mentions.
+struct Writer {
+  std::ostream &OS;
+  std::unordered_set<unsigned> Concepts;
+  std::unordered_set<unsigned> Params;
 
-void writeRef(std::ostream &OS, const ConceptRef &R) {
-  OS << "(ref " << R.ConceptId;
-  for (const Type *A : R.Args) {
-    OS << " ";
-    writeType(OS, A);
+  void ref(const ConceptRef &R) {
+    Concepts.insert(R.ConceptId);
+    OS << "(ref " << R.ConceptId;
+    for (const Type *A : R.Args) {
+      OS << " ";
+      type(A);
+    }
+    OS << ")";
   }
-  OS << ")";
-}
 
-void writeEq(std::ostream &OS, const TypeEquation &E) {
-  OS << "(";
-  writeType(OS, E.Lhs);
-  OS << " ";
-  writeType(OS, E.Rhs);
-  OS << ")";
-}
+  void eq(const TypeEquation &E) {
+    OS << "(";
+    type(E.Lhs);
+    OS << " ";
+    type(E.Rhs);
+    OS << ")";
+  }
 
-void writeType(std::ostream &OS, const Type *T) {
+  void type(const Type *T);
+
+  void paramList(const char *Head, const std::vector<TypeParamDecl> &Ps) {
+    OS << "(" << Head;
+    for (const TypeParamDecl &P : Ps)
+      OS << " (" << P.Id << " " << P.Name << ")";
+    OS << ")";
+  }
+};
+
+void Writer::type(const Type *T) {
   switch (T->getKind()) {
   case TypeKind::Int:
     OS << "int";
@@ -189,6 +218,7 @@ void writeType(std::ostream &OS, const Type *T) {
     return;
   case TypeKind::Param: {
     const auto *P = cast<ParamType>(T);
+    Params.insert(P->getId());
     OS << "(p " << P->getId() << " " << P->getName() << ")";
     return;
   }
@@ -198,11 +228,11 @@ void writeType(std::ostream &OS, const Type *T) {
     bool First = true;
     for (const Type *P : A->getParams()) {
       OS << (First ? "" : " ");
-      writeType(OS, P);
+      type(P);
       First = false;
     }
     OS << ") ";
-    writeType(OS, A->getResult());
+    type(A->getResult());
     OS << ")";
     return;
   }
@@ -210,14 +240,14 @@ void writeType(std::ostream &OS, const Type *T) {
     OS << "(tup";
     for (const Type *E : cast<TupleType>(T)->getElements()) {
       OS << " ";
-      writeType(OS, E);
+      type(E);
     }
     OS << ")";
     return;
   }
   case TypeKind::List:
     OS << "(list ";
-    writeType(OS, cast<ListType>(T)->getElement());
+    type(cast<ListType>(T)->getElement());
     OS << ")";
     return;
   case TypeKind::ForAll: {
@@ -231,24 +261,25 @@ void writeType(std::ostream &OS, const Type *T) {
     OS << ") (reqs";
     for (const ConceptRef &R : F->getRequirements()) {
       OS << " ";
-      writeRef(OS, R);
+      ref(R);
     }
     OS << ") (eqs";
     for (const TypeEquation &E : F->getEquations()) {
       OS << " ";
-      writeEq(OS, E);
+      eq(E);
     }
     OS << ") ";
-    writeType(OS, F->getBody());
+    type(F->getBody());
     OS << ")";
     return;
   }
   case TypeKind::Assoc: {
     const auto *A = cast<AssocType>(T);
+    Concepts.insert(A->getConceptId());
     OS << "(assoc " << A->getConceptId() << " " << A->getMember();
     for (const Type *Arg : A->getArgs()) {
       OS << " ";
-      writeType(OS, Arg);
+      type(Arg);
     }
     OS << ")";
     return;
@@ -257,20 +288,96 @@ void writeType(std::ostream &OS, const Type *T) {
   assert(false && "unknown type kind");
 }
 
-void writeParamList(std::ostream &OS, const char *Head,
-                    const std::vector<TypeParamDecl> &Params) {
-  OS << "(" << Head;
-  for (const TypeParamDecl &P : Params)
-    OS << " (" << P.Id << " " << P.Name << ")";
-  OS << ")";
-}
-
 } // namespace
 
 std::string fg::modules::serializeInterface(const ModuleInterface &I,
                                             const ImportEnv &Env) {
+  // The body is written first: the reference table that precedes it
+  // lists only the imported entities the body mentions.
+  std::ostringstream Body;
+  Writer W{Body, {}, {}};
+  // Own declarations in spine order: each references only earlier ones.
+  for (const auto &D : I.Decls) {
+    if (const auto *CI = std::get_if<ConceptInfo>(&D)) {
+      Body << " (cdecl " << CI->Id << " " << CI->Name << " ";
+      W.paramList("params", CI->Params);
+      Body << " (assocs";
+      for (const AssocTypeDecl &A : CI->Assocs)
+        Body << " (" << A.ParamId << " " << A.Name << ")";
+      Body << ") (refines";
+      for (const ConceptRef &R : CI->Refines) {
+        Body << " ";
+        W.ref(R);
+      }
+      Body << ") (members";
+      for (const ConceptMember &M : CI->Members) {
+        Body << " (" << M.Name << " ";
+        W.type(M.Ty);
+        Body << " " << (M.Default ? 1 : 0) << ")";
+      }
+      Body << ") (eqs";
+      for (const TypeEquation &E : CI->Equations) {
+        Body << " ";
+        W.eq(E);
+      }
+      Body << "))\n";
+    } else {
+      const auto &A = std::get<AliasExport>(D);
+      Body << " (adecl " << A.ParamId << " " << A.Name << " ";
+      W.type(A.Target);
+      Body << ")\n";
+    }
+  }
+  Body << ")\n";
+
+  Body << "(models\n";
+  for (const ModelExport &M : I.Models) {
+    W.Concepts.insert(M.ConceptId);
+    Body << " (mdl " << (M.Name ? *M.Name : std::string("_")) << " "
+         << M.DictVar << " " << M.ConceptId << " ";
+    W.paramList("params", M.Params);
+    Body << " (reqs";
+    for (const ConceptRef &R : M.Requirements) {
+      Body << " ";
+      W.ref(R);
+    }
+    Body << ") (eqs";
+    for (const TypeEquation &E : M.Equations) {
+      Body << " ";
+      W.eq(E);
+    }
+    Body << ") (args";
+    for (const Type *A : M.Args) {
+      Body << " ";
+      W.type(A);
+    }
+    Body << ") (assocs";
+    for (const auto &[Name, Ty] : M.AssocBindings) {
+      Body << " (" << Name << " ";
+      W.type(Ty);
+      Body << ")";
+    }
+    Body << "))\n";
+  }
+  Body << ")\n";
+
+  Body << "(values\n";
+  for (const ValueExport &V : I.Values) {
+    Body << " (val " << V.Name << " ";
+    W.type(V.Ty);
+    Body << ")\n";
+  }
+  Body << ")\n";
+
+  Body << "(result ";
+  if (I.ResultType)
+    W.type(I.ResultType);
+  else
+    Body << "int";
+  Body << ")\n)\n";
+
   std::ostringstream OS;
-  OS << "(fgi 1\n";
+  OS << "(" << formatTag() << "\n";
   OS << "(module " << I.ModuleName << ")\n";
   OS << "(hash " << hashToHex(I.Hash) << ")\n";
   OS << "(deps";
@@ -282,87 +389,14 @@ std::string fg::modules::serializeInterface(const ModuleInterface &I,
   // Imported entities first (no dependencies among references), in the
   // deterministic map order.
   for (const auto &[Key, Id] : Env.ConceptIds)
-    OS << " (cref " << Id << " " << Key.first << " " << Key.second << ")\n";
+    if (W.Concepts.count(Id))
+      OS << " (cref " << Id << " " << Key.first << " " << Key.second
+         << ")\n";
   for (const auto &[Key, Id] : Env.AliasParams)
-    OS << " (aref " << Id << " " << Key.first << " " << Key.second << ")\n";
-  // Own declarations in spine order: each references only earlier ones.
-  for (const auto &D : I.Decls) {
-    if (const auto *CI = std::get_if<ConceptInfo>(&D)) {
-      OS << " (cdecl " << CI->Id << " " << CI->Name << " ";
-      writeParamList(OS, "params", CI->Params);
-      OS << " (assocs";
-      for (const AssocTypeDecl &A : CI->Assocs)
-        OS << " (" << A.ParamId << " " << A.Name << ")";
-      OS << ") (refines";
-      for (const ConceptRef &R : CI->Refines) {
-        OS << " ";
-        writeRef(OS, R);
-      }
-      OS << ") (members";
-      for (const ConceptMember &M : CI->Members) {
-        OS << " (" << M.Name << " ";
-        writeType(OS, M.Ty);
-        OS << " " << (M.Default ? 1 : 0) << ")";
-      }
-      OS << ") (eqs";
-      for (const TypeEquation &E : CI->Equations) {
-        OS << " ";
-        writeEq(OS, E);
-      }
-      OS << "))\n";
-    } else {
-      const auto &A = std::get<AliasExport>(D);
-      OS << " (adecl " << A.ParamId << " " << A.Name << " ";
-      writeType(OS, A.Target);
-      OS << ")\n";
-    }
-  }
-  OS << ")\n";
-
-  OS << "(models\n";
-  for (const ModelExport &M : I.Models) {
-    OS << " (mdl " << (M.Name ? *M.Name : std::string("_")) << " "
-       << M.DictVar << " " << M.ConceptId << " ";
-    writeParamList(OS, "params", M.Params);
-    OS << " (reqs";
-    for (const ConceptRef &R : M.Requirements) {
-      OS << " ";
-      writeRef(OS, R);
-    }
-    OS << ") (eqs";
-    for (const TypeEquation &E : M.Equations) {
-      OS << " ";
-      writeEq(OS, E);
-    }
-    OS << ") (args";
-    for (const Type *A : M.Args) {
-      OS << " ";
-      writeType(OS, A);
-    }
-    OS << ") (assocs";
-    for (const auto &[Name, Ty] : M.AssocBindings) {
-      OS << " (" << Name << " ";
-      writeType(OS, Ty);
-      OS << ")";
-    }
-    OS << "))\n";
-  }
-  OS << ")\n";
-
-  OS << "(values\n";
-  for (const ValueExport &V : I.Values) {
-    OS << " (val " << V.Name << " ";
-    writeType(OS, V.Ty);
-    OS << ")\n";
-  }
-  OS << ")\n";
-
-  OS << "(result ";
-  if (I.ResultType)
-    writeType(OS, I.ResultType);
-  else
-    OS << "int";
-  OS << ")\n)\n";
+    if (W.Params.count(Id))
+      OS << " (aref " << Id << " " << Key.first << " " << Key.second
+         << ")\n";
+  OS << Body.str();
   return OS.str();
 }
 
@@ -475,62 +509,96 @@ bool fg::modules::buildInterface(Frontend &FE, const ImportEnv &Env,
 
 namespace {
 
-struct Sexp {
-  bool IsAtom = false;
-  std::string Atom;
-  std::vector<Sexp> Items;
+using Node = ParsedInterface::Node;
 
-  bool isList(const char *Head) const {
-    return !IsAtom && !Items.empty() && Items[0].IsAtom &&
-           Items[0].Atom == Head;
+/// A view of one node of a ParsedInterface's flat S-expression.
+class Sexp {
+  const ParsedInterface *P;
+  Node N;
+
+public:
+  Sexp(const ParsedInterface &Owner, Node N) : P(&Owner), N(N) {}
+
+  bool isAtom() const { return !(N.Size & ParsedInterface::ListBit); }
+  std::string_view atom() const {
+    return isAtom() ? std::string_view(P->Text).substr(N.Begin, N.Size)
+                    : std::string_view();
+  }
+  size_t size() const {
+    return isAtom() ? 0 : N.Size & ~ParsedInterface::ListBit;
+  }
+  Sexp operator[](size_t I) const { return {*P, P->Nodes[N.Begin + I]}; }
+  bool isList(std::string_view Head) const {
+    return size() != 0 && (*this)[0].isAtom() && (*this)[0].atom() == Head;
   }
 };
 
-bool parseSexp(const std::string &Text, size_t &Pos, Sexp &Out,
+Sexp rootOf(const ParsedInterface &P) { return {P, P.Nodes.back()}; }
+
+bool isSpace(char C) { return std::isspace(static_cast<unsigned char>(C)); }
+
+/// Parses the one S-expression of \p Text into \p Nodes, iteratively so
+/// nesting depth costs heap, not native stack.  Each list's items are
+/// finished before the list closes, so they are appended contiguously
+/// just ahead of it.
+bool parseFlat(std::string_view Text, std::vector<Node> &Nodes,
                std::string &Error) {
-  while (Pos < Text.size() &&
-         std::isspace(static_cast<unsigned char>(Text[Pos])))
-    ++Pos;
-  if (Pos >= Text.size()) {
-    Error = "unexpected end of interface text";
+  if (Text.size() >= ParsedInterface::ListBit) {
+    Error = "interface text too large";
     return false;
   }
-  if (Text[Pos] == '(') {
-    ++Pos;
-    Out.IsAtom = false;
-    Out.Items.clear();
-    for (;;) {
-      while (Pos < Text.size() &&
-             std::isspace(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
-      if (Pos >= Text.size()) {
-        Error = "unterminated list in interface text";
-        return false;
-      }
-      if (Text[Pos] == ')') {
-        ++Pos;
-        return true;
-      }
-      Sexp Child;
-      if (!parseSexp(Text, Pos, Child, Error))
-        return false;
-      Out.Items.push_back(std::move(Child));
+  std::vector<Node> Pending; // Finished items of the open lists.
+  std::vector<size_t> Opens; // Pending.size() at each open `(`.
+  Nodes.reserve(Text.size() / 3);
+  size_t Pos = 0;
+  do {
+    while (Pos < Text.size() && isSpace(Text[Pos]))
+      ++Pos;
+    if (Pos >= Text.size()) {
+      Error = Opens.empty() ? "unexpected end of interface text"
+                            : "unterminated list in interface text";
+      return false;
     }
-  }
-  if (Text[Pos] == ')') {
-    Error = "unbalanced `)` in interface text";
+    if (Text[Pos] == '(') {
+      Opens.push_back(Pending.size());
+      ++Pos;
+      continue;
+    }
+    if (Text[Pos] == ')') {
+      if (Opens.empty()) {
+        Error = "unbalanced `)` in interface text";
+        return false;
+      }
+      size_t First = Opens.back();
+      Opens.pop_back();
+      Node List{static_cast<uint32_t>(Nodes.size()),
+                static_cast<uint32_t>(Pending.size() - First) |
+                    ParsedInterface::ListBit};
+      Nodes.insert(Nodes.end(), Pending.begin() + First, Pending.end());
+      Pending.resize(First);
+      Pending.push_back(List);
+      ++Pos;
+      continue;
+    }
+    size_t Begin = Pos;
+    while (Pos < Text.size() && Text[Pos] != '(' && Text[Pos] != ')' &&
+           !isSpace(Text[Pos]))
+      ++Pos;
+    Pending.push_back(Node{static_cast<uint32_t>(Begin),
+                           static_cast<uint32_t>(Pos - Begin)});
+  } while (!Opens.empty());
+  while (Pos < Text.size() && isSpace(Text[Pos]))
+    ++Pos;
+  if (Pos != Text.size()) {
+    Error = "trailing text after the interface";
     return false;
   }
-  size_t Begin = Pos;
-  while (Pos < Text.size() && Text[Pos] != '(' && Text[Pos] != ')' &&
-         !std::isspace(static_cast<unsigned char>(Text[Pos])))
-    ++Pos;
-  Out.IsAtom = true;
-  Out.Atom = Text.substr(Begin, Pos - Begin);
+  Nodes.push_back(Pending.back());
+  Nodes.shrink_to_fit();
   return true;
 }
 
-bool parseHex(const std::string &S, uint64_t &Out) {
+bool parseHex(std::string_view S, uint64_t &Out) {
   if (S.empty())
     return false;
   Out = 0;
@@ -546,15 +614,12 @@ bool parseHex(const std::string &S, uint64_t &Out) {
   return true;
 }
 
-bool parseKey(const Sexp &S, unsigned &Out) {
-  if (!S.IsAtom)
+bool parseKey(Sexp S, unsigned &Out) {
+  std::string_view A = S.atom();
+  if (A.empty())
     return false;
-  try {
-    Out = static_cast<unsigned>(std::stoul(S.Atom));
-  } catch (...) {
-    return false;
-  }
-  return true;
+  auto [End, Ec] = std::from_chars(A.data(), A.data() + A.size(), Out);
+  return Ec == std::errc() && End == A.data() + A.size();
 }
 
 /// State for deserializing one interface's types into a Frontend.
@@ -572,70 +637,73 @@ struct ReadContext {
   }
 };
 
-const Type *readType(ReadContext &RC, const Sexp &S);
+const Type *readType(ReadContext &RC, Sexp S);
 
-bool readRef(ReadContext &RC, const Sexp &S, ConceptRef &Out);
+bool readRefs(ReadContext &RC, Sexp RefsList, std::vector<ConceptRef> &Out);
 
-bool mapConcept(ReadContext &RC, const Sexp &KeyS, unsigned &LocalId) {
+bool readEqs(ReadContext &RC, Sexp EqsList, std::vector<TypeEquation> &Out);
+
+bool mapConcept(ReadContext &RC, Sexp KeyS, unsigned &LocalId) {
   unsigned Key;
   if (!parseKey(KeyS, Key))
     return RC.fail("malformed concept key");
   auto It = RC.ConceptMap.find(Key);
   if (It == RC.ConceptMap.end())
-    return RC.fail("reference to concept key " + KeyS.Atom +
+    return RC.fail("reference to concept key " + std::string(KeyS.atom()) +
                    " before its declaration");
   LocalId = It->second;
   return true;
 }
 
-const Type *readType(ReadContext &RC, const Sexp &S) {
+const Type *readType(ReadContext &RC, Sexp S) {
   TypeContext &Ctx = RC.FE.getFgContext();
-  if (S.IsAtom) {
-    if (S.Atom == "int")
+  if (S.isAtom()) {
+    if (S.atom() == "int")
       return Ctx.getIntType();
-    if (S.Atom == "bool")
+    if (S.atom() == "bool")
       return Ctx.getBoolType();
-    RC.fail("unknown type atom `" + S.Atom + "`");
+    RC.fail("unknown type atom `" + std::string(S.atom()) + "`");
     return nullptr;
   }
-  if (S.Items.empty() || !S.Items[0].IsAtom) {
+  if (S.size() == 0 || !S[0].isAtom()) {
     RC.fail("malformed type expression");
     return nullptr;
   }
-  const std::string &Head = S.Items[0].Atom;
+  std::string_view Head = S[0].atom();
   if (Head == "p") {
     unsigned Key;
-    if (S.Items.size() != 3 || !parseKey(S.Items[1], Key) ||
-        !S.Items[2].IsAtom) {
+    if (S.size() != 3 || !parseKey(S[1], Key) || !S[2].isAtom()) {
       RC.fail("malformed parameter reference");
       return nullptr;
     }
+    std::string Name(S[2].atom());
     auto It = RC.ParamMap.find(Key);
     if (It == RC.ParamMap.end()) {
-      RC.fail("unbound type parameter `" + S.Items[2].Atom + "`");
+      RC.fail("unbound type parameter `" + Name + "`");
       return nullptr;
     }
-    return Ctx.getParamType(It->second, S.Items[2].Atom);
+    return Ctx.getParamType(It->second, Name);
   }
   if (Head == "->") {
-    if (S.Items.size() != 3 || S.Items[1].IsAtom) {
+    if (S.size() != 3 || S[1].isAtom()) {
       RC.fail("malformed function type");
       return nullptr;
     }
     std::vector<const Type *> Params;
-    for (const Sexp &P : S.Items[1].Items) {
-      const Type *T = readType(RC, P);
+    Sexp Ps = S[1];
+    for (size_t I = 0; I != Ps.size(); ++I) {
+      const Type *T = readType(RC, Ps[I]);
       if (!T)
         return nullptr;
       Params.push_back(T);
     }
-    const Type *Res = readType(RC, S.Items[2]);
+    const Type *Res = readType(RC, S[2]);
     return Res ? Ctx.getArrowType(std::move(Params), Res) : nullptr;
   }
   if (Head == "tup") {
     std::vector<const Type *> Elems;
-    for (size_t I = 1; I != S.Items.size(); ++I) {
-      const Type *T = readType(RC, S.Items[I]);
+    for (size_t I = 1; I != S.size(); ++I) {
+      const Type *T = readType(RC, S[I]);
       if (!T)
         return nullptr;
       Elems.push_back(T);
@@ -643,64 +711,49 @@ const Type *readType(ReadContext &RC, const Sexp &S) {
     return Ctx.getTupleType(std::move(Elems));
   }
   if (Head == "list") {
-    if (S.Items.size() != 2) {
+    if (S.size() != 2) {
       RC.fail("malformed list type");
       return nullptr;
     }
-    const Type *E = readType(RC, S.Items[1]);
+    const Type *E = readType(RC, S[1]);
     return E ? Ctx.getListType(E) : nullptr;
   }
   if (Head == "all") {
-    if (S.Items.size() != 5 || S.Items[1].IsAtom ||
-        !S.Items[2].isList("reqs") || !S.Items[3].isList("eqs")) {
+    if (S.size() != 5 || S[1].isAtom() || !S[2].isList("reqs") ||
+        !S[3].isList("eqs")) {
       RC.fail("malformed forall type");
       return nullptr;
     }
     std::vector<TypeParamDecl> Params;
-    for (const Sexp &P : S.Items[1].Items) {
+    Sexp Binders = S[1];
+    for (size_t I = 0; I != Binders.size(); ++I) {
+      Sexp P = Binders[I];
       unsigned Key;
-      if (P.IsAtom || P.Items.size() != 2 || !parseKey(P.Items[0], Key) ||
-          !P.Items[1].IsAtom) {
+      if (P.size() != 2 || !parseKey(P[0], Key) || !P[1].isAtom()) {
         RC.fail("malformed forall binder");
         return nullptr;
       }
       unsigned Fresh = Ctx.freshParamId();
       RC.ParamMap[Key] = Fresh;
-      Params.push_back({Fresh, P.Items[1].Atom});
+      Params.push_back({Fresh, std::string(P[1].atom())});
     }
     std::vector<ConceptRef> Reqs;
-    for (size_t I = 1; I != S.Items[2].Items.size(); ++I) {
-      ConceptRef R;
-      if (!readRef(RC, S.Items[2].Items[I], R))
-        return nullptr;
-      Reqs.push_back(std::move(R));
-    }
     std::vector<TypeEquation> Eqs;
-    for (size_t I = 1; I != S.Items[3].Items.size(); ++I) {
-      const Sexp &E = S.Items[3].Items[I];
-      if (E.IsAtom || E.Items.size() != 2) {
-        RC.fail("malformed type equation");
-        return nullptr;
-      }
-      const Type *L = readType(RC, E.Items[0]);
-      const Type *R = readType(RC, E.Items[1]);
-      if (!L || !R)
-        return nullptr;
-      Eqs.push_back({L, R});
-    }
-    const Type *Body = readType(RC, S.Items[4]);
+    if (!readRefs(RC, S[2], Reqs) || !readEqs(RC, S[3], Eqs))
+      return nullptr;
+    const Type *Body = readType(RC, S[4]);
     if (!Body)
       return nullptr;
     return Ctx.getForAllType(std::move(Params), std::move(Reqs),
                              std::move(Eqs), Body);
   }
   if (Head == "assoc") {
-    if (S.Items.size() < 3 || !S.Items[2].IsAtom) {
+    if (S.size() < 3 || !S[2].isAtom()) {
       RC.fail("malformed associated type");
       return nullptr;
     }
     unsigned Cid;
-    if (!mapConcept(RC, S.Items[1], Cid))
+    if (!mapConcept(RC, S[1], Cid))
       return nullptr;
     const ConceptInfo *Info = RC.FE.getChecker().findConcept(Cid);
     if (!Info) {
@@ -708,25 +761,24 @@ const Type *readType(ReadContext &RC, const Sexp &S) {
       return nullptr;
     }
     std::vector<const Type *> Args;
-    for (size_t I = 3; I != S.Items.size(); ++I) {
-      const Type *T = readType(RC, S.Items[I]);
+    for (size_t I = 3; I != S.size(); ++I) {
+      const Type *T = readType(RC, S[I]);
       if (!T)
         return nullptr;
       Args.push_back(T);
     }
     return Ctx.getAssocType(Cid, Info->Name, std::move(Args),
-                            S.Items[2].Atom);
+                            std::string(S[2].atom()));
   }
-  RC.fail("unknown type form `" + Head + "`");
+  RC.fail("unknown type form `" + std::string(Head) + "`");
   return nullptr;
 }
 
-bool readRef(ReadContext &RC, const Sexp &S, ConceptRef &Out) {
-  if (S.IsAtom || S.Items.size() < 2 || !S.Items[0].IsAtom ||
-      S.Items[0].Atom != "ref")
+bool readRef(ReadContext &RC, Sexp S, ConceptRef &Out) {
+  if (S.size() < 2 || !S.isList("ref"))
     return RC.fail("malformed concept reference");
   unsigned Cid;
-  if (!mapConcept(RC, S.Items[1], Cid))
+  if (!mapConcept(RC, S[1], Cid))
     return false;
   const ConceptInfo *Info = RC.FE.getChecker().findConcept(Cid);
   if (!Info)
@@ -734,8 +786,8 @@ bool readRef(ReadContext &RC, const Sexp &S, ConceptRef &Out) {
   Out.ConceptId = Cid;
   Out.ConceptName = Info->Name;
   Out.Args.clear();
-  for (size_t I = 2; I != S.Items.size(); ++I) {
-    const Type *T = readType(RC, S.Items[I]);
+  for (size_t I = 2; I != S.size(); ++I) {
+    const Type *T = readType(RC, S[I]);
     if (!T)
       return false;
     Out.Args.push_back(T);
@@ -743,14 +795,13 @@ bool readRef(ReadContext &RC, const Sexp &S, ConceptRef &Out) {
   return true;
 }
 
-bool readEqs(ReadContext &RC, const Sexp &EqsList,
-             std::vector<TypeEquation> &Out) {
-  for (size_t I = 1; I != EqsList.Items.size(); ++I) {
-    const Sexp &E = EqsList.Items[I];
-    if (E.IsAtom || E.Items.size() != 2)
+bool readEqs(ReadContext &RC, Sexp EqsList, std::vector<TypeEquation> &Out) {
+  for (size_t I = 1; I != EqsList.size(); ++I) {
+    Sexp E = EqsList[I];
+    if (E.size() != 2)
       return RC.fail("malformed type equation");
-    const Type *L = readType(RC, E.Items[0]);
-    const Type *R = readType(RC, E.Items[1]);
+    const Type *L = readType(RC, E[0]);
+    const Type *R = readType(RC, E[1]);
     if (!L || !R)
       return false;
     Out.push_back({L, R});
@@ -758,11 +809,10 @@ bool readEqs(ReadContext &RC, const Sexp &EqsList,
   return true;
 }
 
-bool readRefs(ReadContext &RC, const Sexp &RefsList,
-              std::vector<ConceptRef> &Out) {
-  for (size_t I = 1; I != RefsList.Items.size(); ++I) {
+bool readRefs(ReadContext &RC, Sexp RefsList, std::vector<ConceptRef> &Out) {
+  for (size_t I = 1; I != RefsList.size(); ++I) {
     ConceptRef R;
-    if (!readRef(RC, RefsList.Items[I], R))
+    if (!readRef(RC, RefsList[I], R))
       return false;
     Out.push_back(std::move(R));
   }
@@ -771,98 +821,81 @@ bool readRefs(ReadContext &RC, const Sexp &RefsList,
 
 /// Reads a `(params (key name)...)`-shaped list, minting fresh local
 /// parameter ids and recording them in the ParamMap.
-bool readBinders(ReadContext &RC, const Sexp &List,
-                 std::vector<TypeParamDecl> &Out) {
-  for (size_t I = 1; I != List.Items.size(); ++I) {
-    const Sexp &P = List.Items[I];
+bool readBinders(ReadContext &RC, Sexp List, std::vector<TypeParamDecl> &Out) {
+  for (size_t I = 1; I != List.size(); ++I) {
+    Sexp P = List[I];
     unsigned Key;
-    if (P.IsAtom || P.Items.size() != 2 || !parseKey(P.Items[0], Key) ||
-        !P.Items[1].IsAtom)
+    if (P.size() != 2 || !parseKey(P[0], Key) || !P[1].isAtom())
       return RC.fail("malformed parameter binder");
     unsigned Fresh = RC.FE.getFgContext().freshParamId();
     RC.ParamMap[Key] = Fresh;
-    Out.push_back({Fresh, P.Items[1].Atom});
+    Out.push_back({Fresh, std::string(P[1].atom())});
   }
   return true;
 }
 
-const Sexp *findField(const Sexp &Root, const char *Head) {
-  for (const Sexp &S : Root.Items)
-    if (S.isList(Head))
-      return &S;
-  return nullptr;
+std::optional<Sexp> findField(Sexp Root, std::string_view Head) {
+  for (size_t I = 0; I != Root.size(); ++I)
+    if (Root[I].isList(Head))
+      return Root[I];
+  return std::nullopt;
 }
 
 } // namespace
 
-bool fg::modules::peekInterfaceHash(const std::string &Text,
-                                    uint64_t &HashOut) {
-  size_t Pos = 0;
-  Sexp Root;
-  std::string Error;
-  if (!parseSexp(Text, Pos, Root, Error))
+bool fg::modules::parseInterface(std::string Text, ParsedInterface &Out,
+                                 std::string &Error) {
+  Out = ParsedInterface();
+  Out.Text = std::move(Text);
+  if (!parseFlat(Out.Text, Out.Nodes, Error))
     return false;
-  if (Root.IsAtom || Root.Items.size() < 2 || !Root.Items[0].IsAtom ||
-      Root.Items[0].Atom != "fgi" || !Root.Items[1].IsAtom ||
-      Root.Items[1].Atom != "1")
-    return false;
-  const Sexp *H = findField(Root, "hash");
-  return H && H->Items.size() == 2 && H->Items[1].IsAtom &&
-         parseHex(H->Items[1].Atom, HashOut);
-}
-
-bool fg::modules::peekInterfaceDeps(
-    const std::string &Text,
-    std::vector<std::pair<std::string, uint64_t>> &DepsOut) {
-  size_t Pos = 0;
-  Sexp Root;
-  std::string Error;
-  if (!parseSexp(Text, Pos, Root, Error))
-    return false;
-  if (Root.IsAtom || Root.Items.size() < 2 || !Root.Items[0].IsAtom ||
-      Root.Items[0].Atom != "fgi" || !Root.Items[1].IsAtom ||
-      Root.Items[1].Atom != "1")
-    return false;
-  DepsOut.clear();
-  const Sexp *DepsS = findField(Root, "deps");
-  if (!DepsS)
-    return true; // A leaf module legitimately records no deps.
-  for (size_t I = 1; I != DepsS->Items.size(); ++I) {
-    const Sexp &D = DepsS->Items[I];
-    uint64_t H;
-    if (D.IsAtom || D.Items.size() != 2 || !D.Items[0].IsAtom ||
-        !D.Items[1].IsAtom || !parseHex(D.Items[1].Atom, H))
-      return false;
-    DepsOut.emplace_back(D.Items[0].Atom, H);
-  }
-  return true;
-}
-
-bool fg::modules::instantiateInterface(const std::string &Text, Frontend &FE,
-                                       ImportEnv &Env, ModuleInterface &Out,
-                                       std::string &Error) {
-  stats::ScopedTimer Timer("modules.instantiate");
-  size_t Pos = 0;
-  Sexp Root;
-  if (!parseSexp(Text, Pos, Root, Error))
-    return false;
-  if (Root.IsAtom || Root.Items.size() < 2 || !Root.Items[0].IsAtom ||
-      Root.Items[0].Atom != "fgi") {
+  Sexp Root = rootOf(Out);
+  if (!Root.isList("fgi") || Root.size() < 2) {
     Error = "not an fgc interface file";
     return false;
   }
-  if (!Root.Items[1].IsAtom || Root.Items[1].Atom != "1") {
+  unsigned Version = 0;
+  if (!parseKey(Root[1], Version) || Version != InterfaceFormatVersion) {
     Error = "unsupported interface format version";
     return false;
   }
-
-  Out = ModuleInterface();
-  const Sexp *ModuleS = findField(Root, "module");
-  if (!ModuleS || ModuleS->Items.size() != 2 || !ModuleS->Items[1].IsAtom) {
+  std::optional<Sexp> ModuleS = findField(Root, "module");
+  if (!ModuleS || ModuleS->size() != 2 || !(*ModuleS)[1].isAtom()) {
     Error = "interface is missing its module name";
     return false;
   }
-  Out.ModuleName = ModuleS->Items[1].Atom;
+  Out.ModuleName = (*ModuleS)[1].atom();
+  auto fail = [&](const char *Msg) {
+    Error = "interface of module `" + Out.ModuleName + "`: " + Msg;
+    return false;
+  };
+  std::optional<Sexp> HashS = findField(Root, "hash");
+  if (!HashS || HashS->size() != 2 || !(*HashS)[1].isAtom() ||
+      !parseHex((*HashS)[1].atom(), Out.Hash))
+    return fail("missing or malformed hash");
+  // A leaf module legitimately records no deps.
+  if (std::optional<Sexp> DepsS = findField(Root, "deps"))
+    for (size_t I = 1; I != DepsS->size(); ++I) {
+      Sexp D = (*DepsS)[I];
+      uint64_t H;
+      if (D.size() != 2 || !D[0].isAtom() || !D[1].isAtom() ||
+          !parseHex(D[1].atom(), H))
+        return fail("malformed dependency entry");
+      Out.Deps.emplace_back(D[0].atom(), H);
+    }
+  return true;
+}
+
+bool fg::modules::instantiateInterface(const ParsedInterface &P, Frontend &FE,
+                                       ImportEnv &Env, ModuleInterface &Out,
+                                       std::string &Error) {
+  assert(!P.Nodes.empty() && "instantiating an unparsed interface");
+  stats::ScopedTimer Timer("modules.instantiate");
+  Out = ModuleInterface();
+  Out.ModuleName = P.ModuleName;
+  Out.Hash = P.Hash;
+  Out.Deps = P.Deps;
+  Sexp Root = rootOf(P);
 
   ReadContext RC{FE, Env, Out.ModuleName, {}, {}, {}};
   Checker &C = FE.getChecker();
@@ -873,34 +906,19 @@ bool fg::modules::instantiateInterface(const std::string &Text, Frontend &FE,
     return false;
   };
 
-  const Sexp *HashS = findField(Root, "hash");
-  if (!HashS || HashS->Items.size() != 2 || !HashS->Items[1].IsAtom ||
-      !parseHex(HashS->Items[1].Atom, Out.Hash))
-    return fail("missing or malformed hash");
-  if (const Sexp *DepsS = findField(Root, "deps"))
-    for (size_t I = 1; I != DepsS->Items.size(); ++I) {
-      const Sexp &D = DepsS->Items[I];
-      uint64_t H;
-      if (D.IsAtom || D.Items.size() != 2 || !D.Items[0].IsAtom ||
-          !D.Items[1].IsAtom || !parseHex(D.Items[1].Atom, H))
-        return fail("malformed dependency entry");
-      Out.Deps.emplace_back(D.Items[0].Atom, H);
-    }
-
   // Declarations, in dependency order.
-  if (const Sexp *Decls = findField(Root, "decls")) {
-    for (size_t I = 1; I != Decls->Items.size(); ++I) {
-      const Sexp &D = Decls->Items[I];
-      if (D.IsAtom || D.Items.empty() || !D.Items[0].IsAtom)
+  if (std::optional<Sexp> Decls = findField(Root, "decls")) {
+    for (size_t I = 1; I != Decls->size(); ++I) {
+      Sexp D = (*Decls)[I];
+      if (D.size() == 0 || !D[0].isAtom())
         return fail("malformed declaration entry");
-      const std::string &Kind = D.Items[0].Atom;
+      std::string_view Kind = D[0].atom();
       if (Kind == "cref" || Kind == "aref") {
         unsigned Key;
-        if (D.Items.size() != 4 || !parseKey(D.Items[1], Key) ||
-            !D.Items[2].IsAtom || !D.Items[3].IsAtom)
+        if (D.size() != 4 || !parseKey(D[1], Key) || !D[2].isAtom() ||
+            !D[3].isAtom())
           return fail("malformed import reference");
-        std::pair<std::string, std::string> Origin{D.Items[2].Atom,
-                                                   D.Items[3].Atom};
+        std::pair<std::string, std::string> Origin{D[2].atom(), D[3].atom()};
         if (Kind == "cref") {
           auto It = Env.ConceptIds.find(Origin);
           if (It == Env.ConceptIds.end())
@@ -918,34 +936,34 @@ bool fg::modules::instantiateInterface(const std::string &Text, Frontend &FE,
         }
       } else if (Kind == "cdecl") {
         unsigned Key;
-        if (D.Items.size() != 8 || !parseKey(D.Items[1], Key) ||
-            !D.Items[2].IsAtom || !D.Items[3].isList("params") ||
-            !D.Items[4].isList("assocs") || !D.Items[5].isList("refines") ||
-            !D.Items[6].isList("members") || !D.Items[7].isList("eqs"))
+        if (D.size() != 8 || !parseKey(D[1], Key) || !D[2].isAtom() ||
+            !D[3].isList("params") || !D[4].isList("assocs") ||
+            !D[5].isList("refines") || !D[6].isList("members") ||
+            !D[7].isList("eqs"))
           return fail("malformed concept declaration");
         ConceptInfo Info;
         Info.Id = FE.getFgContext().freshConceptId();
-        Info.Name = D.Items[2].Atom;
-        if (!readBinders(RC, D.Items[3], Info.Params))
+        Info.Name = D[2].atom();
+        if (!readBinders(RC, D[3], Info.Params))
           return fail(RC.Error);
         std::vector<TypeParamDecl> AssocParams;
-        if (!readBinders(RC, D.Items[4], AssocParams))
+        if (!readBinders(RC, D[4], AssocParams))
           return fail(RC.Error);
         for (const TypeParamDecl &A : AssocParams)
           Info.Assocs.push_back({A.Id, A.Name});
         // The concept must be visible to its own member types' assoc
         // references before they are read.
         RC.ConceptMap[Key] = Info.Id;
-        if (!readRefs(RC, D.Items[5], Info.Refines))
+        if (!readRefs(RC, D[5], Info.Refines))
           return fail(RC.Error);
-        for (size_t J = 1; J != D.Items[6].Items.size(); ++J) {
-          const Sexp &M = D.Items[6].Items[J];
-          if (M.IsAtom || M.Items.size() != 3 || !M.Items[0].IsAtom ||
-              !M.Items[2].IsAtom)
+        Sexp Members = D[6];
+        for (size_t J = 1; J != Members.size(); ++J) {
+          Sexp M = Members[J];
+          if (M.size() != 3 || !M[0].isAtom() || !M[2].isAtom())
             return fail("malformed concept member");
           ConceptMember CM;
-          CM.Name = M.Items[0].Atom;
-          CM.Ty = readType(RC, M.Items[1]);
+          CM.Name = M[0].atom();
+          CM.Ty = readType(RC, M[1]);
           if (!CM.Ty)
             return fail(RC.Error);
           // Default bodies are terms and do not serialize; the member
@@ -953,69 +971,67 @@ bool fg::modules::instantiateInterface(const std::string &Text, Frontend &FE,
           CM.Default = nullptr;
           Info.Members.push_back(std::move(CM));
         }
-        if (!readEqs(RC, D.Items[7], Info.Equations))
+        if (!readEqs(RC, D[7], Info.Equations))
           return fail(RC.Error);
         Env.ConceptIds[{Out.ModuleName, Info.Name}] = Info.Id;
-        Env.ConceptOrigin[Info.Id] = {Out.ModuleName, Info.Name};
         Out.Decls.emplace_back(Info);
         C.declareConcept(std::move(Info));
       } else if (Kind == "adecl") {
         unsigned Key;
-        if (D.Items.size() != 4 || !parseKey(D.Items[1], Key) ||
-            !D.Items[2].IsAtom)
+        if (D.size() != 4 || !parseKey(D[1], Key) || !D[2].isAtom())
           return fail("malformed alias declaration");
-        const Type *Target = readType(RC, D.Items[3]);
+        const Type *Target = readType(RC, D[3]);
         if (!Target)
           return fail(RC.Error);
         unsigned Fresh = FE.getFgContext().freshParamId();
         RC.ParamMap[Key] = Fresh;
-        const std::string &Name = D.Items[2].Atom;
+        std::string Name(D[2].atom());
         C.bindImportedAlias(Fresh, Name, Target);
         Env.AliasParams[{Out.ModuleName, Name}] = Fresh;
-        Env.AliasOrigin[Fresh] = {Out.ModuleName, Name};
         Out.Decls.emplace_back(AliasExport{Fresh, Name, Target});
       } else {
-        return fail("unknown declaration kind `" + Kind + "`");
+        return fail("unknown declaration kind `" + std::string(Kind) + "`");
       }
     }
   }
 
   // Models.
-  if (const Sexp *Models = findField(Root, "models")) {
-    for (size_t I = 1; I != Models->Items.size(); ++I) {
-      const Sexp &M = Models->Items[I];
-      if (M.IsAtom || M.Items.size() != 9 || !M.Items[0].IsAtom ||
-          M.Items[0].Atom != "mdl" || !M.Items[1].IsAtom ||
-          !M.Items[2].IsAtom || !M.Items[4].isList("params") ||
-          !M.Items[5].isList("reqs") || !M.Items[6].isList("eqs") ||
-          !M.Items[7].isList("args") || !M.Items[8].isList("assocs"))
+  if (std::optional<Sexp> Models = findField(Root, "models")) {
+    for (size_t I = 1; I != Models->size(); ++I) {
+      Sexp M = (*Models)[I];
+      if (M.size() != 9 || !M.isList("mdl") || !M[1].isAtom() ||
+          !M[2].isAtom() || !M[4].isList("params") || !M[5].isList("reqs") ||
+          !M[6].isList("eqs") || !M[7].isList("args") ||
+          !M[8].isList("assocs"))
         return fail("malformed model entry");
       ModelExport E;
-      if (M.Items[1].Atom != "_")
-        E.Name = M.Items[1].Atom;
-      E.DictVar = M.Items[2].Atom;
-      if (!mapConcept(RC, M.Items[3], E.ConceptId))
+      if (M[1].atom() != "_")
+        E.Name = std::string(M[1].atom());
+      E.DictVar = M[2].atom();
+      if (!mapConcept(RC, M[3], E.ConceptId))
         return fail(RC.Error);
-      if (!readBinders(RC, M.Items[4], E.Params))
+      if (!readBinders(RC, M[4], E.Params))
         return fail(RC.Error);
-      if (!readRefs(RC, M.Items[5], E.Requirements))
+      if (!readRefs(RC, M[5], E.Requirements))
         return fail(RC.Error);
-      if (!readEqs(RC, M.Items[6], E.Equations))
+      if (!readEqs(RC, M[6], E.Equations))
         return fail(RC.Error);
-      for (size_t J = 1; J != M.Items[7].Items.size(); ++J) {
-        const Type *T = readType(RC, M.Items[7].Items[J]);
+      Sexp Args = M[7];
+      for (size_t J = 1; J != Args.size(); ++J) {
+        const Type *T = readType(RC, Args[J]);
         if (!T)
           return fail(RC.Error);
         E.Args.push_back(T);
       }
-      for (size_t J = 1; J != M.Items[8].Items.size(); ++J) {
-        const Sexp &B = M.Items[8].Items[J];
-        if (B.IsAtom || B.Items.size() != 2 || !B.Items[0].IsAtom)
+      Sexp Assocs = M[8];
+      for (size_t J = 1; J != Assocs.size(); ++J) {
+        Sexp B = Assocs[J];
+        if (B.size() != 2 || !B[0].isAtom())
           return fail("malformed associated type binding");
-        const Type *T = readType(RC, B.Items[1]);
+        const Type *T = readType(RC, B[1]);
         if (!T)
           return fail(RC.Error);
-        E.AssocBindings.emplace_back(B.Items[0].Atom, T);
+        E.AssocBindings.emplace_back(B[0].atom(), T);
       }
 
       Checker::ImportedModel IM;
@@ -1043,27 +1059,25 @@ bool fg::modules::instantiateInterface(const std::string &Text, Frontend &FE,
   }
 
   // Values and result type.
-  if (const Sexp *Values = findField(Root, "values")) {
-    for (size_t I = 1; I != Values->Items.size(); ++I) {
-      const Sexp &V = Values->Items[I];
-      if (V.IsAtom || V.Items.size() != 3 || !V.Items[0].IsAtom ||
-          V.Items[0].Atom != "val" || !V.Items[1].IsAtom)
+  if (std::optional<Sexp> Values = findField(Root, "values")) {
+    for (size_t I = 1; I != Values->size(); ++I) {
+      Sexp V = (*Values)[I];
+      if (V.size() != 3 || !V.isList("val") || !V[1].isAtom())
         return fail("malformed value entry");
-      const Type *T = readType(RC, V.Items[2]);
+      const Type *T = readType(RC, V[2]);
       if (!T)
         return fail(RC.Error);
-      Out.Values.push_back({V.Items[1].Atom, T});
+      Out.Values.push_back({std::string(V[1].atom()), T});
     }
   }
-  if (const Sexp *Result = findField(Root, "result")) {
-    if (Result->Items.size() != 2)
+  if (std::optional<Sexp> Result = findField(Root, "result")) {
+    if (Result->size() != 2)
       return fail("malformed result type");
-    Out.ResultType = readType(RC, Result->Items[1]);
+    Out.ResultType = readType(RC, (*Result)[1]);
     if (!Out.ResultType)
       return fail(RC.Error);
   }
 
-  Env.Instantiated.insert(Out.ModuleName);
   return true;
 }
 

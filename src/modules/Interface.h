@@ -18,14 +18,20 @@
 ///   * top-level value bindings with their F_G types;
 ///   * the type of the tail expression.
 ///
-/// The wire format is a versioned S-expression (`(fgi 1 ...)`).  Types
+/// The wire format is a versioned S-expression (`(fgi 2 ...)`).  Types
 /// serialize with the producing compiler's raw parameter/concept ids as
 /// keys; on load every key is remapped — declarations mint fresh ids in
 /// the consumer's TypeContext, references (`cref`/`aref`) resolve
 /// through the consumer's ImportEnv to the ids minted when the
 /// *declaring* module's interface was instantiated.  Cross-module
 /// identity is therefore (declaring module, exported name), independent
-/// of any compiler-local numbering.
+/// of any compiler-local numbering.  The reference table lists only the
+/// imported concepts and aliases the interface itself mentions, so an
+/// interface's size follows its module, not its import cone.
+///
+/// A batch parses each interface once (parseInterface): the parsed form
+/// answers cache validation and invalidation attribution, and every
+/// dependent instantiates from it without re-reading the text.
 ///
 /// The interface hash is FNV-1a 64 over the format version, the module
 /// source text, and the direct dependencies' interface hashes, so a
@@ -49,10 +55,8 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -114,15 +118,8 @@ struct ModuleInterface {
 struct ImportEnv {
   std::map<std::pair<std::string, std::string>, unsigned> ConceptIds;
   std::map<std::pair<std::string, std::string>, unsigned> AliasParams;
-  /// Reverse maps, used when the consumer serializes its own interface.
-  std::unordered_map<unsigned, std::pair<std::string, std::string>>
-      ConceptOrigin;
-  std::unordered_map<unsigned, std::pair<std::string, std::string>>
-      AliasOrigin;
   /// Imported named models, for re-export through a spine-level `use`.
   std::map<std::string, ModelExport> NamedModels;
-  /// Modules whose interfaces have been instantiated already.
-  std::set<std::string> Instantiated;
   /// System F typings for imported free variables.
   sf::TypeEnv ImportTypes;
 };
@@ -182,41 +179,59 @@ bool buildInterface(Frontend &FE, const ImportEnv &Env,
                     const Type *ProbeType, ModuleInterface &Out,
                     std::string &Error);
 
+/// The `.fgi` wire-format version.  It heads every interface and salts
+/// every interface hash, so an interface of any other version is a
+/// cache miss and is rebuilt.
+inline constexpr unsigned InterfaceFormatVersion = 2;
+
 /// Renders \p I in the `.fgi` wire format.  \p Env classifies referenced
-/// concepts/aliases as own declarations or imports.
+/// concepts/aliases as own declarations or imports; only the imports
+/// the interface mentions get a `cref`/`aref` entry.
 std::string serializeInterface(const ModuleInterface &I,
                                const ImportEnv &Env);
 
-/// Reads only the recorded interface hash from `.fgi` text (cheap cache
-/// validation).  Returns false on malformed input.
-bool peekInterfaceHash(const std::string &Text, uint64_t &HashOut);
+/// A `.fgi` file parsed once.  The header fields a batch needs for cache
+/// validation and invalidation attribution are decoded; the rest stays
+/// a flat S-expression over the retained text, which
+/// instantiateInterface reads into any number of Frontends.
+struct ParsedInterface {
+  std::string ModuleName;
+  uint64_t Hash = 0;
+  /// Direct dependencies in import order, with their interface hashes.
+  std::vector<std::pair<std::string, uint64_t>> Deps;
 
-/// Reads only the recorded direct-dependency (name, hash) pairs from
-/// `.fgi` text, in import order (cheap invalidation attribution: if
-/// re-hashing the current source against these stored dep hashes
-/// reproduces the stored interface hash, the source is unchanged and
-/// an invalidation must have cascaded from a dependency).  Returns
-/// false on malformed input; a dependency-free interface yields an
-/// empty vector.
-bool peekInterfaceDeps(const std::string &Text,
-                       std::vector<std::pair<std::string, uint64_t>>
-                           &DepsOut);
+  /// One S-expression node: an atom (offset and length in Text) or a
+  /// list (index of its first item in Nodes and its item count, with
+  /// ListBit set).  A list's items are contiguous; the root is last.
+  struct Node {
+    uint32_t Begin = 0;
+    uint32_t Size = 0;
+  };
+  static constexpr uint32_t ListBit = 0x80000000u;
+  std::string Text;
+  std::vector<Node> Nodes;
+};
 
-/// Parses `.fgi` text and installs its type-level contents into \p FE:
-/// concepts are declared, aliases bound, models registered (with their
-/// dictionary typings added to \p Env.ImportTypes).  \p Out receives
-/// the interface re-bound to \p FE's contexts.  Interfaces of all
-/// modules \p Text references must have been instantiated into \p Env
-/// first (instantiate in dependency order).
-bool instantiateInterface(const std::string &Text, Frontend &FE,
+/// Parses `.fgi` text of the current format version.  Returns false with
+/// \p Error set on malformed input or another version.
+bool parseInterface(std::string Text, ParsedInterface &Out,
+                    std::string &Error);
+
+/// Installs \p P's type-level contents into \p FE: concepts are
+/// declared, aliases bound, models registered (with their dictionary
+/// typings added to \p Env.ImportTypes).  \p Out receives the interface
+/// re-bound to \p FE's contexts.  Interfaces of all modules \p P
+/// references must have been instantiated into \p Env first
+/// (instantiate in dependency order).
+bool instantiateInterface(const ParsedInterface &P, Frontend &FE,
                           ImportEnv &Env, ModuleInterface &Out,
                           std::string &Error);
 
-/// Makes a *direct* import's value bindings visible: binds each export
-/// as a checker global and records its System F typing in
+/// Makes an instantiated interface's value bindings visible: binds each
+/// export as a checker global and records its System F typing in
 /// \p Env.ImportTypes.  Type-level entities were installed by
-/// instantiateInterface; values are direct-imports-only (import
-/// hygiene).
+/// instantiateInterface.  The batch binds the values of a module's whole
+/// import closure, so visibility is transitive (LANGUAGE.md section 9).
 bool bindImportedValues(Frontend &FE, ImportEnv &Env,
                         const ModuleInterface &I, std::string &Error);
 

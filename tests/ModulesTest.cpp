@@ -22,6 +22,8 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <map>
+#include <regex>
 
 using namespace fg;
 using namespace fg::modules;
@@ -290,9 +292,13 @@ TEST_F(ModulesTest, InterfaceRoundTripPreservesExportedTypes) {
   // Deserialize the same interface into two independent compilers: the
   // remapped ids differ, but every exported type must render (and thus
   // alpha-compare) identically.
+  ParsedInterface Parsed;
+  std::string ParseErr;
+  ASSERT_TRUE(parseInterface(BaseText, Parsed, ParseErr)) << ParseErr;
+  EXPECT_EQ(Parsed.ModuleName, "base");
   auto instantiate = [&](Frontend &FE, ImportEnv &Env, ModuleInterface &I) {
     std::string Err;
-    ASSERT_TRUE(instantiateInterface(BaseText, FE, Env, I, Err)) << Err;
+    ASSERT_TRUE(instantiateInterface(Parsed, FE, Env, I, Err)) << Err;
   };
   Frontend FA, FB;
   ImportEnv EA, EB;
@@ -488,6 +494,10 @@ TEST_F(ModulesTest, CorpusChain64DeepInvalidationRipplesFromLeaf) {
                 Before["modules.cache.invalidations.transitive"],
             63u);
   EXPECT_EQ(After["modules.cache.hits"] - Before["modules.cache.hits"], 0u);
+  // The root's interface names only what it mentions, not the 63
+  // modules of concepts below it.
+  EXPECT_EQ(readAll((Dir / "m0063.fgi").string()).find("cref"),
+            std::string::npos);
 }
 
 TEST_F(ModulesTest, CorpusFanIn64WideRootChecksAndCaches) {
@@ -532,31 +542,112 @@ TEST_F(ModulesTest, CorpusFanIn64WideRootChecksAndCaches) {
   EXPECT_FALSE(BR.find("m0064")->CacheHit);
 }
 
-TEST_F(ModulesTest, PeekInterfaceDepsRoundTrips) {
+TEST_F(ModulesTest, ParsedInterfaceDepsRoundTrip) {
   std::string Top = writeDiamond();
   ModuleLoader Loader;
   std::string Root, Error;
   ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
   ASSERT_TRUE(batch(Loader, {Root}).Success);
 
-  std::string Text = readAll((Dir / "top.fgi").string());
-  std::vector<std::pair<std::string, uint64_t>> Deps;
-  ASSERT_TRUE(peekInterfaceDeps(Text, Deps));
-  ASSERT_EQ(Deps.size(), 3u);
-  EXPECT_EQ(Deps[0].first, "base");
-  EXPECT_EQ(Deps[1].first, "left");
-  EXPECT_EQ(Deps[2].first, "right");
+  ParsedInterface P;
+  ASSERT_TRUE(parseInterface(readAll((Dir / "top.fgi").string()), P, Error))
+      << Error;
+  EXPECT_EQ(P.ModuleName, "top");
+  ASSERT_EQ(P.Deps.size(), 3u);
+  EXPECT_EQ(P.Deps[0].first, "base");
+  EXPECT_EQ(P.Deps[1].first, "left");
+  EXPECT_EQ(P.Deps[2].first, "right");
   // The stored hash must be reproducible from source + stored deps —
   // the property the transitive-invalidation attribution relies on.
-  uint64_t Stored;
-  ASSERT_TRUE(peekInterfaceHash(Text, Stored));
-  EXPECT_EQ(Stored,
-            interfaceHash(readAll((Dir / "top.fg").string()), Deps));
+  EXPECT_EQ(P.Hash, interfaceHash(readAll((Dir / "top.fg").string()), P.Deps));
 
-  std::vector<std::pair<std::string, uint64_t>> LeafDeps;
-  ASSERT_TRUE(peekInterfaceDeps(readAll((Dir / "base.fgi").string()),
-                                LeafDeps));
-  EXPECT_TRUE(LeafDeps.empty());
+  ParsedInterface Leaf;
+  ASSERT_TRUE(
+      parseInterface(readAll((Dir / "base.fgi").string()), Leaf, Error))
+      << Error;
+  EXPECT_TRUE(Leaf.Deps.empty());
+}
+
+TEST_F(ModulesTest, UnreadableCacheFileIsAMiss) {
+  std::string Top = writeDiamond();
+  ModuleLoader Loader;
+  std::string Root, Error;
+  ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
+  ASSERT_TRUE(batch(Loader, {Root}).Success);
+
+  // Plant three unreadable interfaces where the warm run would read
+  // hits: a truncated one, garbage, and a well-formed older version.
+  std::map<std::string, std::string> Good;
+  for (const char *M : {"base", "left", "right", "top"})
+    Good[M] = readAll((Dir / (std::string(M) + ".fgi")).string());
+  const std::string Head = "(fgi " + std::to_string(InterfaceFormatVersion);
+  ASSERT_EQ(Good["right"].rfind(Head, 0), 0u);
+  write("base.fgi", Good["base"].substr(0, Good["base"].size() / 2));
+  write("left.fgi", "garbage ) (\n");
+  write("right.fgi", "(fgi 1" + Good["right"].substr(Head.size()));
+
+  auto Before = stats::Statistics::global().counters();
+  BatchResult BR = batch(Loader, {Root});
+  auto After = stats::Statistics::global().counters();
+  ASSERT_TRUE(BR.Success);
+  EXPECT_EQ(After["modules.cache.misses"] - Before["modules.cache.misses"],
+            3u);
+  EXPECT_EQ(After["modules.compiled"] - Before["modules.compiled"], 3u);
+  EXPECT_EQ(After["modules.cache.hits"] - Before["modules.cache.hits"], 1u);
+  // An unreadable file has no stored hash to attribute an invalidation to.
+  EXPECT_EQ(After["modules.cache.invalidations.source"] -
+                Before["modules.cache.invalidations.source"],
+            0u);
+  EXPECT_EQ(After["modules.cache.invalidations.transitive"] -
+                Before["modules.cache.invalidations.transitive"],
+            0u);
+  for (const char *M : {"base", "left", "right"}) {
+    EXPECT_FALSE(BR.find(M)->CacheHit) << M;
+    // Rechecking reproduces the interface byte for byte.
+    EXPECT_EQ(readAll((Dir / (std::string(M) + ".fgi")).string()), Good[M])
+        << M;
+  }
+  // The rebuilt interfaces hash as before, so their dependent still hits.
+  EXPECT_TRUE(BR.find("top")->CacheHit);
+  for (const auto &E : fs::directory_iterator(Dir))
+    EXPECT_EQ(E.path().string().find(".tmp."), std::string::npos)
+        << E.path();
+}
+
+TEST_F(ModulesTest, ImportedAliasCrossesModules) {
+  write("lib.fg", "module lib;\n"
+                  "type pt = (int * int) in\n"
+                  "let swap = fun(p : pt). (nth p 1, nth p 0) in 0\n");
+  write("mid.fg", "module mid;\n"
+                  "import lib;\n"
+                  "let twice = fun(p : pt). swap(swap(p)) in 0\n");
+  std::string Main = write("main.fg", "module main;\n"
+                                      "import mid;\n"
+                                      "nth twice((1, 2)) 0\n");
+  ModuleLoader Loader;
+  std::string Root, Error;
+  ASSERT_TRUE(Loader.loadFile(Main, Root, Error)) << Error;
+  BatchResult BR = batch(Loader, {Root});
+  ASSERT_TRUE(BR.Success) << BR.find("mid")->Error << BR.find("main")->Error;
+
+  Frontend FE;
+  const Term *Program = Loader.link(FE, Root, Error);
+  ASSERT_NE(Program, nullptr) << Error;
+  CompileOutput Out = FE.compileTerm(Program);
+  ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
+  sf::EvalResult R = FE.run(Out);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(sf::valueToString(R.Val), "1");
+
+  // mid's exported type mentions lib's alias, so mid references it;
+  // main's interface mentions no imported entity and references none.
+  std::string MidText = readAll((Dir / "mid.fgi").string());
+  std::string MainText = readAll((Dir / "main.fgi").string());
+  EXPECT_TRUE(
+      std::regex_search(MidText, std::regex(R"(\(aref \d+ lib pt\))")))
+      << MidText;
+  EXPECT_EQ(MainText.find("aref"), std::string::npos) << MainText;
+  EXPECT_EQ(MainText.find("cref"), std::string::npos) << MainText;
 }
 
 } // namespace
