@@ -15,9 +15,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -70,12 +68,11 @@ void publish(const std::string &Path, const std::string &Text) {
     ::unlink(Tmp.c_str());
 }
 
-/// Checks one module against its dependencies' interfaces.  \p Closure
-/// is the module's transitive closure in dependency order (itself
-/// excluded); every entry's Product is complete and successful.
-void buildModule(const ModuleUnit &U,
-                 const std::vector<std::string> &Closure,
-                 const std::map<std::string, Product> &Products,
+/// Checks one module against its dependencies' interfaces.  Every
+/// module of \p U's closure has a complete, successful entry in
+/// \p Products (indexed by ModuleUnit::Id).
+void buildModule(const ModuleLoader &Loader, const ModuleUnit &U,
+                 const std::vector<Product> &Products,
                  const BatchOptions &Opts, ModuleBuildResult &R,
                  Product &Out) {
   stats::Statistics &S = stats::Statistics::global();
@@ -84,8 +81,8 @@ void buildModule(const ModuleUnit &U,
   // imports' interface hashes; those hashes cover their own deps in
   // turn, so any change in the dependency cone cascades here.
   std::vector<std::pair<std::string, uint64_t>> DirectDeps;
-  for (const ModuleHeader::Import &Imp : U.Imports)
-    DirectDeps.emplace_back(Imp.Name, Products.at(Imp.Name).Iface.Hash);
+  for (const ModuleUnit *Dep : U.Deps)
+    DirectDeps.emplace_back(Dep->Name, Products[Dep->Id].Iface.Hash);
   uint64_t Expected = interfaceHash(U.Source, DirectDeps);
 
   std::string CachePath = cacheFileFor(U, Opts);
@@ -120,22 +117,24 @@ void buildModule(const ModuleUnit &U,
 
   // Fresh compiler state per module: instantiate every interface in the
   // closure (dependency order), then check this module's body against
-  // them.
+  // them.  Only a miss needs the closure, so it is walked here, in the
+  // worker.
+  std::vector<const ModuleUnit *> Closure = Loader.topoOrder({&U});
+  Closure.pop_back(); // The module itself.
   Frontend FE;
   ImportEnv Env;
-  std::map<std::string, ModuleInterface> Ifaces;
-  for (const std::string &Dep : Closure) {
+  std::vector<ModuleInterface> Ifaces(Closure.size());
+  for (size_t I = 0; I < Closure.size(); ++I) {
     std::string Err;
-    if (!instantiateInterface(Products.at(Dep).Iface, FE, Env, Ifaces[Dep],
-                              Err)) {
+    if (!instantiateInterface(Products[Closure[I]->Id].Iface, FE, Env,
+                              Ifaces[I], Err)) {
       R.Error = Err;
       return;
     }
   }
   ParserSeeds Seeds;
-  for (const std::string &Dep : Closure) {
+  for (const ModuleInterface &I : Ifaces) {
     std::string Err;
-    const ModuleInterface &I = Ifaces[Dep];
     if (!bindImportedValues(FE, Env, I, Err)) {
       R.Error = Err;
       return;
@@ -207,45 +206,36 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
                                   const BatchOptions &Opts) {
   BatchResult Result;
 
-  // Union of the roots' closures, dependency-ordered.
-  std::vector<std::string> Order;
-  std::set<std::string> InOrder;
+  // Union of the roots' closures, dependency-ordered, from one walk.
+  std::vector<const ModuleUnit *> RootUnits;
   for (const std::string &Root : Roots)
-    for (const std::string &M : Loader.topoOrder(Root))
-      if (InOrder.insert(M).second)
-        Order.push_back(M);
+    if (const ModuleUnit *U = Loader.find(Root))
+      RootUnits.push_back(U);
+  std::vector<const ModuleUnit *> Order = Loader.topoOrder(RootUnits);
 
+  // Per-module state, indexed by ModuleUnit::Id.
   struct Node {
-    const ModuleUnit *U = nullptr;
-    std::vector<std::string> Closure; ///< Transitive deps, ordered.
-    std::vector<std::string> Dependents;
+    std::vector<const ModuleUnit *> Dependents;
     size_t PendingDeps = 0;
-    bool Done = false;
   };
-  std::map<std::string, Node> Nodes;
-  std::map<std::string, Product> Products;
-  std::map<std::string, ModuleBuildResult> Results;
-  for (const std::string &M : Order) {
-    Node &N = Nodes[M];
-    N.U = Loader.find(M);
-    N.Closure = Loader.topoOrder(M);
-    N.Closure.pop_back(); // Drop the module itself.
-    N.PendingDeps = N.U->Imports.size();
-    Products[M];
-    Results[M].Module = M;
+  size_t NumUnits = Loader.modules().size();
+  std::vector<Node> Nodes(NumUnits);
+  std::vector<Product> Products(NumUnits);
+  std::vector<ModuleBuildResult> Results(NumUnits);
+  for (const ModuleUnit *U : Order) {
+    Nodes[U->Id].PendingDeps = U->Deps.size();
+    for (const ModuleUnit *Dep : U->Deps)
+      Nodes[Dep->Id].Dependents.push_back(U);
   }
-  for (const std::string &M : Order)
-    for (const ModuleHeader::Import &Imp : Nodes[M].U->Imports)
-      Nodes[Imp.Name].Dependents.push_back(M);
 
   std::mutex Mu;
   std::condition_variable CV;
-  std::deque<std::string> Ready;
+  std::deque<const ModuleUnit *> Ready;
   size_t Remaining = Order.size();
   unsigned Running = 0, MaxWave = 0;
-  for (const std::string &M : Order)
-    if (Nodes[M].PendingDeps == 0)
-      Ready.push_back(M);
+  for (const ModuleUnit *U : Order)
+    if (U->Deps.empty())
+      Ready.push_back(U);
 
   auto worker = [&]() {
     std::unique_lock<std::mutex> Lock(Mu);
@@ -253,19 +243,18 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
       CV.wait(Lock, [&] { return !Ready.empty() || Remaining == 0; });
       if (Ready.empty())
         return;
-      std::string M = Ready.front();
+      const ModuleUnit &U = *Ready.front();
       Ready.pop_front();
       ++Running;
       MaxWave = std::max(MaxWave, Running);
-      Node &N = Nodes[M];
       ModuleBuildResult R;
-      R.Module = M;
+      R.Module = U.Name;
 
       bool DepsOk = true;
-      for (const ModuleHeader::Import &Imp : N.U->Imports)
-        if (!Products[Imp.Name].Ok) {
+      for (const ModuleUnit *Dep : U.Deps)
+        if (!Products[Dep->Id].Ok) {
           R.Skipped = true;
-          R.Error = "import `" + Imp.Name + "` failed";
+          R.Error = "import `" + Dep->Name + "` failed";
           DepsOk = false;
           break;
         }
@@ -273,22 +262,21 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
         Product Out;
         Lock.unlock();
         auto T0 = std::chrono::steady_clock::now();
-        buildModule(*N.U, N.Closure, Products, Opts, R, Out);
+        buildModule(Loader, U, Products, Opts, R, Out);
         R.Seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           T0)
                 .count();
         Lock.lock();
-        Products[M] = std::move(Out);
+        Products[U.Id] = std::move(Out);
       }
 
-      Results[M] = std::move(R);
-      N.Done = true;
+      Results[U.Id] = std::move(R);
       --Running;
       --Remaining;
-      for (const std::string &Dep : N.Dependents)
-        if (--Nodes[Dep].PendingDeps == 0)
-          Ready.push_back(Dep);
+      for (const ModuleUnit *D : Nodes[U.Id].Dependents)
+        if (--Nodes[D->Id].PendingDeps == 0)
+          Ready.push_back(D);
       CV.notify_all();
     }
   };
@@ -308,10 +296,10 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
 
   Result.MaxWavefront = MaxWave;
   Result.Success = true;
-  for (const std::string &M : Order) {
-    if (!Results[M].Success)
+  for (const ModuleUnit *U : Order) {
+    if (!Results[U->Id].Success)
       Result.Success = false;
-    Result.Results.push_back(std::move(Results[M]));
+    Result.Results.push_back(std::move(Results[U->Id]));
   }
   stats::Statistics &S = stats::Statistics::global();
   std::atomic<uint64_t> &Wave = S.counter("batch.wavefront.max_width");

@@ -19,6 +19,9 @@
 /// skips the module entirely (an interface cache hit).  Each interface
 /// is parsed once per batch, when its cached file is read or its fresh
 /// text is written, and every dependent instantiates that parsed form.
+/// The schedule comes from one walk of the loader's indexed graph over
+/// all roots; a worker walks a module's own closure only on a miss,
+/// when it instantiates the closure's interfaces.
 ///
 /// Observability (support/Stats.h): counters `modules.loaded`,
 /// `modules.compiled`, `modules.cache.hits` / `.misses` (with

@@ -24,47 +24,47 @@ namespace fs = std::filesystem;
 bool ModuleLoader::scanHeader(const std::string &BufferName,
                               const std::string &Source, ModuleHeader &Header,
                               std::string &Error) {
-  // A throwaway lexing context: body lex errors are none of the
-  // header's business and get reported by the real parse later.
+  // A throwaway lexing context.  Tokens are pulled only until the first
+  // one that cannot continue `[module X;] (import Y;)*`, so the body is
+  // never lexed here: its errors are reported by the real parse later.
   SourceManager SM;
   DiagnosticEngine Diags(&SM);
   uint32_t BufferId = SM.addBuffer(BufferName, Source);
-  std::vector<Token> Tokens = lexBuffer(SM, BufferId, Diags);
+  stats::ScopedTimer Timer("lexer.lex");
+  Lexer Lex(SM, BufferId, Diags);
+  Token Tok = Lex.next();
+  auto advance = [&] { Tok = Lex.next(); };
 
   Header = ModuleHeader();
-  size_t Pos = 0;
-  auto at = [&](TokenKind K) {
-    return Pos < Tokens.size() && Tokens[Pos].Kind == K;
-  };
-  if (at(TokenKind::KwModule)) {
-    ++Pos;
-    if (!at(TokenKind::Ident)) {
+  if (Tok.is(TokenKind::KwModule)) {
+    advance();
+    if (!Tok.is(TokenKind::Ident)) {
       Error = BufferName + ": expected module name after `module`";
       return false;
     }
     Header.HasModuleDecl = true;
-    Header.Name = Tokens[Pos].Text;
-    ++Pos;
-    if (!at(TokenKind::Semi)) {
+    Header.Name = std::move(Tok.Text);
+    advance();
+    if (!Tok.is(TokenKind::Semi)) {
       Error = BufferName + ": expected `;` after module name";
       return false;
     }
-    ++Pos;
+    advance();
   }
-  while (at(TokenKind::KwImport)) {
-    SourceLocation Loc = Tokens[Pos].Loc;
-    ++Pos;
-    if (!at(TokenKind::Ident)) {
+  while (Tok.is(TokenKind::KwImport)) {
+    SourceLocation Loc = Tok.Loc;
+    advance();
+    if (!Tok.is(TokenKind::Ident)) {
       Error = BufferName + ": expected module name after `import`";
       return false;
     }
-    Header.Imports.push_back({Tokens[Pos].Text, Loc});
-    ++Pos;
-    if (!at(TokenKind::Semi)) {
+    Header.Imports.push_back({std::move(Tok.Text), Loc});
+    advance();
+    if (!Tok.is(TokenKind::Semi)) {
       Error = BufferName + ": expected `;` after import name";
       return false;
     }
-    ++Pos;
+    advance();
   }
   return true;
 }
@@ -200,6 +200,9 @@ bool ModuleLoader::loadFile(const std::string &Path, std::string &RootName,
     U.Path = std::move(F.Path);
     U.Source = std::move(F.Source);
     U.Imports = std::move(F.Header.Imports);
+    for (const ModuleHeader::Import &Imp : U.Imports)
+      U.Deps.push_back(find(Imp.Name));
+    U.Id = static_cast<unsigned>(Units.size());
     U.HasModuleDecl = F.Header.HasModuleDecl;
     InStack.erase(Name);
     Units.emplace(Name, std::move(U));
@@ -209,65 +212,64 @@ bool ModuleLoader::loadFile(const std::string &Path, std::string &RootName,
   return true;
 }
 
-std::vector<std::string> ModuleLoader::topoOrder(
-    const std::string &Root) const {
-  std::vector<std::string> Order;
-  std::set<std::string> Visited;
+std::vector<const ModuleUnit *>
+ModuleLoader::topoOrder(const std::vector<const ModuleUnit *> &Roots) const {
+  std::vector<const ModuleUnit *> Order;
+  std::vector<char> Visited(Units.size());
   // Iterative DFS, post-order: a module lands after all its imports.
   struct Frame {
     const ModuleUnit *U;
-    size_t NextImport = 0;
+    size_t NextDep = 0;
   };
   std::vector<Frame> WorkStack;
-  const ModuleUnit *RootU = find(Root);
-  if (!RootU)
-    return Order;
-  Visited.insert(Root);
-  WorkStack.push_back({RootU});
-  while (!WorkStack.empty()) {
-    Frame &F = WorkStack.back();
-    if (F.NextImport < F.U->Imports.size()) {
-      const std::string &Dep = F.U->Imports[F.NextImport++].Name;
-      if (Visited.insert(Dep).second)
-        if (const ModuleUnit *DepU = find(Dep))
-          WorkStack.push_back({DepU});
-      continue;
+  auto visit = [&](const ModuleUnit *U) {
+    if (!Visited[U->Id]) {
+      Visited[U->Id] = 1;
+      WorkStack.push_back({U});
     }
-    Order.push_back(F.U->Name);
-    WorkStack.pop_back();
+  };
+  for (const ModuleUnit *Root : Roots) {
+    visit(Root);
+    while (!WorkStack.empty()) {
+      Frame &F = WorkStack.back();
+      if (F.NextDep < F.U->Deps.size()) {
+        visit(F.U->Deps[F.NextDep++]); // May reallocate; F is dead.
+        continue;
+      }
+      Order.push_back(F.U);
+      WorkStack.pop_back();
+    }
   }
   return Order;
 }
 
 bool ModuleLoader::parseClosure(Frontend &FE,
-                                const std::vector<std::string> &Order,
-                                std::map<std::string, const Term *> &Asts,
+                                const std::vector<const ModuleUnit *> &Order,
+                                std::vector<const Term *> &Asts,
                                 std::string &Error) const {
   // Parse every module in dependency order.  Concepts and type aliases
   // resolve lexically at parse time, so each module's parser scopes are
   // seeded with the names its (transitive) imports declare; installing
   // them in dependency order makes later modules shadow earlier ones,
-  // exactly as the spliced spine nesting will.
-  std::map<std::string, std::vector<std::pair<std::string, unsigned>>>
-      ConceptExports, AliasExports;
-  for (const std::string &Name : Order) {
-    const ModuleUnit &U = *find(Name);
+  // exactly as the spliced spine nesting will.  Export lists are
+  // indexed by ModuleUnit::Id.
+  std::vector<std::vector<std::pair<std::string, unsigned>>> ConceptExports(
+      Units.size()),
+      AliasExports(Units.size());
+  for (const ModuleUnit *U : Order) {
     ParserSeeds Seeds;
-    std::vector<std::string> Closure = topoOrder(Name);
-    for (const std::string &Dep : Closure) {
-      if (Dep == Name)
-        continue;
-      auto CIt = ConceptExports.find(Dep);
-      if (CIt != ConceptExports.end())
-        Seeds.Concepts.insert(Seeds.Concepts.end(), CIt->second.begin(),
-                              CIt->second.end());
-      auto AIt = AliasExports.find(Dep);
-      if (AIt != AliasExports.end())
-        Seeds.TypeVars.insert(Seeds.TypeVars.end(), AIt->second.begin(),
-                              AIt->second.end());
+    std::vector<const ModuleUnit *> Closure = topoOrder({U});
+    Closure.pop_back(); // The module itself.
+    for (const ModuleUnit *Dep : Closure) {
+      const auto &Concepts = ConceptExports[Dep->Id];
+      Seeds.Concepts.insert(Seeds.Concepts.end(), Concepts.begin(),
+                            Concepts.end());
+      const auto &Aliases = AliasExports[Dep->Id];
+      Seeds.TypeVars.insert(Seeds.TypeVars.end(), Aliases.begin(),
+                            Aliases.end());
     }
 
-    uint32_t BufferId = FE.getSourceManager().addBuffer(U.Path, U.Source);
+    uint32_t BufferId = FE.getSourceManager().addBuffer(U->Path, U->Source);
     Parser P(FE.getSourceManager(), FE.getDiags(), FE.getFgContext(),
              FE.getFgArena());
     ModuleHeader Header;
@@ -276,14 +278,14 @@ bool ModuleLoader::parseClosure(Frontend &FE,
       Error = FE.getDiags().firstError();
       return false;
     }
-    Asts[Name] = Ast;
+    Asts.push_back(Ast);
 
     SpineScan S = scanSpine(Ast);
     for (const Term *N : S.Nodes) {
       if (const auto *CD = dyn_cast<ConceptDeclTerm>(N))
-        ConceptExports[Name].emplace_back(CD->getName(), CD->getConceptId());
+        ConceptExports[U->Id].emplace_back(CD->getName(), CD->getConceptId());
       else if (const auto *TA = dyn_cast<TypeAliasTerm>(N))
-        AliasExports[Name].emplace_back(TA->getName(), TA->getParamId());
+        AliasExports[U->Id].emplace_back(TA->getName(), TA->getParamId());
     }
   }
   return true;
@@ -291,33 +293,33 @@ bool ModuleLoader::parseClosure(Frontend &FE,
 
 const Term *ModuleLoader::link(Frontend &FE, const std::string &Root,
                                std::string &Error) const {
-  std::vector<std::string> Order = topoOrder(Root);
-  if (Order.empty()) {
+  const ModuleUnit *RootU = find(Root);
+  if (!RootU) {
     Error = "module `" + Root + "` is not loaded";
     return nullptr;
   }
-  std::map<std::string, const Term *> Asts;
+  std::vector<const ModuleUnit *> Order = topoOrder({RootU});
+  std::vector<const Term *> Asts;
   if (!parseClosure(FE, Order, Asts, Error))
     return nullptr;
 
   // Splice: root innermost (keeping its tail), dependencies' spines
   // wrapped around it in reverse dependency order, their tails dropped.
-  const Term *Program = Asts[Order.back()];
+  const Term *Program = Asts.back();
   for (size_t I = Order.size() - 1; I-- > 0;)
-    Program = rebuildSpine(FE.getFgArena(), Asts[Order[I]], Program);
+    Program = rebuildSpine(FE.getFgArena(), Asts[I], Program);
   return Program;
 }
 
 uint64_t ModuleLoader::contentHash(const std::string &Root) const {
-  std::vector<std::string> Order = topoOrder(Root);
-  if (Order.empty())
+  const ModuleUnit *RootU = find(Root);
+  if (!RootU)
     return 0;
   uint64_t H = fnv1a64("fg-cone-1");
-  for (const std::string &Name : Order) {
-    const ModuleUnit &U = *find(Name);
-    H = fnv1a64(U.Name, H);
+  for (const ModuleUnit *U : topoOrder({RootU})) {
+    H = fnv1a64(U->Name, H);
     H = fnv1a64(std::string_view("\0", 1), H);
-    H = fnv1a64(U.Source, H);
+    H = fnv1a64(U->Source, H);
     H = fnv1a64(std::string_view("\0", 1), H);
   }
   return H;
@@ -359,28 +361,29 @@ static size_t offsetOf(const std::string &Src, uint32_t Line, uint32_t Col) {
 
 bool ModuleLoader::spineText(Frontend &FE, const std::string &Root,
                              std::string &Out, std::string &Error) const {
-  std::vector<std::string> Order = topoOrder(Root);
-  if (Order.empty()) {
+  const ModuleUnit *RootU = find(Root);
+  if (!RootU) {
     Error = "module `" + Root + "` is not loaded";
     return false;
   }
-  std::map<std::string, const Term *> Asts;
+  std::vector<const ModuleUnit *> Order = topoOrder({RootU});
+  std::vector<const Term *> Asts;
   if (!parseClosure(FE, Order, Asts, Error))
     return false;
 
   Out.clear();
-  for (const std::string &Name : Order) {
-    const ModuleUnit &U = *find(Name);
-    SpineScan S = scanSpine(Asts[Name]);
+  for (size_t I = 0; I < Order.size(); ++I) {
+    const std::string &Src = Order[I]->Source;
+    SpineScan S = scanSpine(Asts[I]);
     if (S.Nodes.empty())
       continue; // Pure expression module: nothing to export.
     SourceLocation Begin = S.Nodes.front()->getLoc();
     SourceLocation TailLoc = leftmostLoc(S.Tail);
-    size_t BeginOff = offsetOf(U.Source, Begin.Line, Begin.Column);
-    size_t EndOff = offsetOf(U.Source, TailLoc.Line, TailLoc.Column);
+    size_t BeginOff = offsetOf(Src, Begin.Line, Begin.Column);
+    size_t EndOff = offsetOf(Src, TailLoc.Line, TailLoc.Column);
     if (EndOff < BeginOff)
       continue; // Defensive: malformed locations.
-    Out += U.Source.substr(BeginOff, EndOff - BeginOff);
+    Out += Src.substr(BeginOff, EndOff - BeginOff);
     Out += "\n";
   }
   return true;

@@ -47,6 +47,11 @@ struct ModuleUnit {
   std::string Source; ///< Full source text.
   /// Direct imports in declaration order.
   std::vector<ModuleHeader::Import> Imports;
+  /// Imports resolved: Deps[I] is the unit Imports[I] names.
+  std::vector<const ModuleUnit *> Deps;
+  /// Dense index in registration order, below modules().size()
+  /// (post-order, so every import's Id is smaller).
+  unsigned Id = 0;
   /// True when the file had an explicit `module <name>;` declaration.
   bool HasModuleDecl = false;
 };
@@ -61,10 +66,15 @@ public:
   };
 
   explicit ModuleLoader(Options Opts = Options()) : Opts(std::move(Opts)) {}
+  // Units point at each other (ModuleUnit::Deps), so a copy would point
+  // into the original.
+  ModuleLoader(const ModuleLoader &) = delete;
+  ModuleLoader &operator=(const ModuleLoader &) = delete;
 
-  /// Scans only the `module`/`import` header of \p Source (no full
-  /// parse; body errors are not reported here).  Returns false with
-  /// \p Error set when the header itself is malformed.
+  /// Scans only the `module`/`import` header of \p Source: tokens are
+  /// lexed up to the first one that cannot continue the header, so the
+  /// body is never lexed and its errors are not reported here.  Returns
+  /// false with \p Error set when the header itself is malformed.
   static bool scanHeader(const std::string &BufferName,
                          const std::string &Source, ModuleHeader &Header,
                          std::string &Error);
@@ -82,12 +92,15 @@ public:
   /// Every loaded module, keyed by name.
   const std::map<std::string, ModuleUnit> &modules() const { return Units; }
 
-  /// \p Root's transitive import closure (including \p Root, last) in
-  /// dependency order: every module appears after all its imports.
-  /// Deterministic: depth-first over imports in declaration order.
-  /// This order is shared by the link path and the batch checker, so
-  /// name shadowing behaves identically in both.
-  std::vector<std::string> topoOrder(const std::string &Root) const;
+  /// The transitive import closure of \p Roots in dependency order:
+  /// every module appears after all its imports, and a module reachable
+  /// from several roots appears once, where the first root's walk
+  /// reaches it.  Deterministic: one depth-first walk, post-order, over
+  /// imports in declaration order, roots in the given order.  This
+  /// order is shared by the link path and the batch checker, so name
+  /// shadowing behaves identically in both.
+  std::vector<const ModuleUnit *>
+  topoOrder(const std::vector<const ModuleUnit *> &Roots) const;
 
   /// Whole-program link: parses \p Root's closure into \p FE in
   /// dependency order (seeding each module's parser scopes with the
@@ -122,9 +135,9 @@ public:
 
 private:
   /// Parses every module of \p Order into \p FE with seeded scopes
-  /// (shared by link() and spineText()).
-  bool parseClosure(Frontend &FE, const std::vector<std::string> &Order,
-                    std::map<std::string, const Term *> &Asts,
+  /// (shared by link() and spineText()); Asts[I] is Order[I]'s AST.
+  bool parseClosure(Frontend &FE, const std::vector<const ModuleUnit *> &Order,
+                    std::vector<const Term *> &Asts,
                     std::string &Error) const;
   /// Resolves `import Name;` appearing in \p ImporterDir.  Empty on
   /// failure, with the searched directories listed in \p Error.

@@ -8,6 +8,7 @@
 #include "syntax/Lexer.h"
 #include "support/Stats.h"
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 
 using namespace fg;
@@ -127,22 +128,17 @@ static const std::unordered_map<std::string, TokenKind> &keywordTable() {
   return Table;
 }
 
-std::vector<Token> fg::lexBuffer(const SourceManager &SM, uint32_t BufferId,
-                                 DiagnosticEngine &Diags) {
-  stats::ScopedTimer Timer("lexer.lex");
-  std::string_view Text = SM.getBufferText(BufferId);
-  std::vector<Token> Tokens;
-  size_t I = 0, E = Text.size();
+Token Lexer::make(TokenKind K, size_t Begin) const {
+  Token T;
+  T.Kind = K;
+  T.Text = std::string(Text.substr(Begin, Pos - Begin));
+  T.Loc = locAt(Begin);
+  return T;
+}
 
-  auto locAt = [&](size_t Offset) { return SM.getLocation(BufferId, Offset); };
-  auto push = [&](TokenKind K, size_t Begin, size_t End) {
-    Token T;
-    T.Kind = K;
-    T.Text = std::string(Text.substr(Begin, End - Begin));
-    T.Loc = locAt(Begin);
-    Tokens.push_back(std::move(T));
-  };
-
+Token Lexer::next() {
+  size_t &I = Pos;
+  size_t E = Text.size();
   while (I < E) {
     char C = Text[I];
     if (std::isspace(static_cast<unsigned char>(C))) {
@@ -175,104 +171,99 @@ std::vector<Token> fg::lexBuffer(const SourceManager &SM, uint32_t BufferId,
                     "unterminated block comment");
       continue;
     }
+    size_t Begin = I;
     // Identifiers and keywords.
     if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      size_t Begin = I;
       while (I < E && (std::isalnum(static_cast<unsigned char>(Text[I])) ||
                        Text[I] == '_'))
         ++I;
-      std::string Word(Text.substr(Begin, I - Begin));
-      auto It = keywordTable().find(Word);
-      push(It != keywordTable().end() ? It->second : TokenKind::Ident, Begin,
-           I);
-      continue;
+      Token T = make(TokenKind::Ident, Begin);
+      auto It = keywordTable().find(T.Text);
+      if (It != keywordTable().end())
+        T.Kind = It->second;
+      return T;
     }
-    // Integer literals (optionally negative).
+    // Integer literals (optionally negative), checked for overflow.
     bool NegativeLiteral =
         C == '-' && I + 1 < E &&
         std::isdigit(static_cast<unsigned char>(Text[I + 1]));
     if (std::isdigit(static_cast<unsigned char>(C)) || NegativeLiteral) {
-      size_t Begin = I;
       if (NegativeLiteral)
         ++I;
       while (I < E && std::isdigit(static_cast<unsigned char>(Text[I])))
         ++I;
-      push(TokenKind::IntLiteral, Begin, I);
-      Tokens.back().IntValue = std::stoll(Tokens.back().Text);
-      continue;
+      Token T = make(TokenKind::IntLiteral, Begin);
+      if (std::from_chars(Text.data() + Begin, Text.data() + I, T.IntValue)
+              .ec != std::errc()) {
+        Diags.error(T.Loc, "integer literal out of range");
+        T.Kind = TokenKind::Error;
+      }
+      return T;
     }
     // Punctuation.
-    size_t Begin = I;
     auto single = [&](TokenKind K) {
       ++I;
-      push(K, Begin, I);
+      return make(K, Begin);
     };
     switch (C) {
     case '(':
-      single(TokenKind::LParen);
-      continue;
+      return single(TokenKind::LParen);
     case ')':
-      single(TokenKind::RParen);
-      continue;
+      return single(TokenKind::RParen);
     case '{':
-      single(TokenKind::LBrace);
-      continue;
+      return single(TokenKind::LBrace);
     case '}':
-      single(TokenKind::RBrace);
-      continue;
+      return single(TokenKind::RBrace);
     case '[':
-      single(TokenKind::LBracket);
-      continue;
+      return single(TokenKind::LBracket);
     case ']':
-      single(TokenKind::RBracket);
-      continue;
+      return single(TokenKind::RBracket);
     case '<':
-      single(TokenKind::Less);
-      continue;
+      return single(TokenKind::Less);
     case '>':
-      single(TokenKind::Greater);
-      continue;
+      return single(TokenKind::Greater);
     case ',':
-      single(TokenKind::Comma);
-      continue;
+      return single(TokenKind::Comma);
     case ';':
-      single(TokenKind::Semi);
-      continue;
+      return single(TokenKind::Semi);
     case ':':
-      single(TokenKind::Colon);
-      continue;
+      return single(TokenKind::Colon);
     case '.':
-      single(TokenKind::Dot);
-      continue;
+      return single(TokenKind::Dot);
     case '*':
-      single(TokenKind::Star);
-      continue;
+      return single(TokenKind::Star);
     case '=':
       if (I + 1 < E && Text[I + 1] == '=') {
         I += 2;
-        push(TokenKind::EqualEqual, Begin, I);
-      } else {
-        single(TokenKind::Equal);
+        return make(TokenKind::EqualEqual, Begin);
       }
-      continue;
+      return single(TokenKind::Equal);
     case '-':
       if (I + 1 < E && Text[I + 1] == '>') {
         I += 2;
-        push(TokenKind::Arrow, Begin, I);
-        continue;
+        return make(TokenKind::Arrow, Begin);
       }
       [[fallthrough]];
     default:
       Diags.error(locAt(Begin), std::string("unexpected character `") + C +
                                     "`");
-      single(TokenKind::Error);
-      continue;
+      return single(TokenKind::Error);
     }
   }
 
   Token Eof;
   Eof.Kind = TokenKind::Eof;
   Eof.Loc = locAt(E);
-  Tokens.push_back(std::move(Eof));
+  return Eof;
+}
+
+std::vector<Token> fg::lexBuffer(const SourceManager &SM, uint32_t BufferId,
+                                 DiagnosticEngine &Diags) {
+  stats::ScopedTimer Timer("lexer.lex");
+  Lexer L(SM, BufferId, Diags);
+  std::vector<Token> Tokens;
+  do
+    Tokens.push_back(L.next());
+  while (!Tokens.back().is(TokenKind::Eof));
   return Tokens;
 }

@@ -21,6 +21,7 @@
 #include "support/SourceManager.h"
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fg {
@@ -89,9 +90,36 @@ struct Token {
   bool is(TokenKind K) const { return Kind == K; }
 };
 
+/// A resumable tokenizer over one registered source buffer: each next()
+/// lexes one more token, so a caller that needs only a prefix of the
+/// buffer (the module header scan) stops early and never reads the
+/// rest.  Errors are reported to the DiagnosticEngine and yield Error
+/// tokens; once the buffer is exhausted every call returns Eof.  The
+/// lexer views the buffer's text, so no buffer may be added to \p SM
+/// while it is in use.
+class Lexer {
+public:
+  Lexer(const SourceManager &SM, uint32_t BufferId, DiagnosticEngine &Diags)
+      : SM(SM), BufferId(BufferId), Diags(Diags),
+        Text(SM.getBufferText(BufferId)) {}
+
+  Token next();
+
+private:
+  SourceLocation locAt(size_t Offset) const {
+    return SM.getLocation(BufferId, Offset);
+  }
+  Token make(TokenKind K, size_t Begin) const;
+
+  const SourceManager &SM;
+  uint32_t BufferId;
+  DiagnosticEngine &Diags;
+  std::string_view Text;
+  size_t Pos = 0;
+};
+
 /// Lexes a registered source buffer into a token vector (plus a final
-/// Eof token).  Errors are reported to the DiagnosticEngine and yield
-/// Error tokens.
+/// Eof token) by draining a Lexer.
 std::vector<Token> lexBuffer(const SourceManager &SM, uint32_t BufferId,
                              DiagnosticEngine &Diags);
 

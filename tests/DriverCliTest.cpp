@@ -325,4 +325,27 @@ TEST(DriverCliTest, BatchFailureSummaryIsDeterministicAndExitsNonzero) {
   EXPECT_EQ(R1.Stdout, R2.Stdout);
 }
 
+// A literal outside the 64-bit range is a lexer diagnostic, not an
+// uncaught exception that aborts the process; both ends of the range
+// stay valid.  The module variant takes the header-scan path first.
+TEST(DriverCliTest, OversizedIntegerLiteralIsADiagnostic) {
+  ScratchDir Dir("fgc_cli_big_literal");
+  std::ofstream(Dir.P / "big.fg") << "iadd(99999999999999999999, 1)\n";
+  std::ofstream(Dir.P / "bigmod.fg") << "module bigmod;\n"
+                                        "let x = -99999999999999999999 in x\n";
+  std::ofstream(Dir.P / "edges.fg")
+      << "iadd(-9223372036854775808, 9223372036854775807)\n";
+  for (const char *File : {"big.fg", "bigmod.fg"}) {
+    RunResult R = runFgc((Dir.P / File).string());
+    EXPECT_EQ(R.ExitCode, 1) << File;
+    EXPECT_NE(R.Stderr.find("error: integer literal out of range"),
+              std::string::npos)
+        << File << ": " << R.Stderr;
+    EXPECT_TRUE(R.Stdout.empty()) << R.Stdout;
+  }
+  RunResult R = runFgc((Dir.P / "edges.fg").string());
+  EXPECT_EQ(R.ExitCode, 0) << R.Stderr;
+  EXPECT_NE(R.Stdout.find("value: -1"), std::string::npos) << R.Stdout;
+}
+
 } // namespace

@@ -51,11 +51,45 @@ TEST(LexerTest, GenericIsAnAliasForForall) {
 }
 
 TEST(LexerTest, IntegerLiterals) {
-  auto Toks = lex("0 42 -17");
-  ASSERT_GE(Toks.size(), 3u);
+  auto Toks = lex("0 42 -17 -9223372036854775808 9223372036854775807");
+  ASSERT_GE(Toks.size(), 5u);
   EXPECT_EQ(Toks[0].IntValue, 0);
   EXPECT_EQ(Toks[1].IntValue, 42);
   EXPECT_EQ(Toks[2].IntValue, -17);
+  EXPECT_EQ(Toks[3].IntValue, INT64_MIN);
+  EXPECT_EQ(Toks[4].IntValue, INT64_MAX);
+}
+
+// The lexer is pulled one token at a time, so a caller that stops early
+// (the module header scan) never reaches, or reports, what lies beyond.
+TEST(LexerTest, LexesOnlyAsFarAsPulled) {
+  SourceManager SM;
+  DiagnosticEngine Diags(&SM);
+  Lexer L(SM, SM.addBuffer("t", "module m; @ /* never closed"), Diags);
+  EXPECT_EQ(L.next().Kind, TokenKind::KwModule);
+  EXPECT_EQ(L.next().Text, "m");
+  EXPECT_EQ(L.next().Kind, TokenKind::Semi);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.render();
+  EXPECT_EQ(L.next().Kind, TokenKind::Error);
+  EXPECT_EQ(Diags.getNumErrors(), 1u) << Diags.render();
+  EXPECT_EQ(L.next().Kind, TokenKind::Eof);
+  EXPECT_EQ(L.next().Kind, TokenKind::Eof);
+  EXPECT_EQ(Diags.getNumErrors(), 2u) << Diags.render();
+}
+
+TEST(LexerTest, OversizedIntegerLiteralIsAnError) {
+  for (const char *Text : {"9223372036854775808", "-9223372036854775809",
+                           "99999999999999999999"}) {
+    SourceManager SM;
+    DiagnosticEngine Diags(&SM);
+    std::vector<Token> Out = lexBuffer(SM, SM.addBuffer("t", Text), Diags);
+    ASSERT_EQ(Out.size(), 2u) << Text;
+    EXPECT_EQ(Out[0].Kind, TokenKind::Error) << Text;
+    EXPECT_EQ(Out[0].Text, Text);
+    EXPECT_NE(Diags.render().find("integer literal out of range"),
+              std::string::npos)
+        << Diags.render();
+  }
 }
 
 TEST(LexerTest, PunctuationIncludingCompound) {

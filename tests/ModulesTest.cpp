@@ -19,11 +19,13 @@
 #include "modules/Loader.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <map>
 #include <regex>
+#include <set>
 
 using namespace fg;
 using namespace fg::modules;
@@ -100,16 +102,29 @@ protected:
   }
 };
 
+// The scan lexes only as far as the header reaches, so nothing in the
+// body, however malformed, is its business.
 TEST_F(ModulesTest, ScanHeaderParsesModuleAndImports) {
-  ModuleHeader H;
-  std::string Error;
-  ASSERT_TRUE(ModuleLoader::scanHeader(
-      "m.fg", "module m;\nimport a;\nimport b;\n42\n", H, Error));
-  EXPECT_TRUE(H.HasModuleDecl);
-  EXPECT_EQ(H.Name, "m");
-  ASSERT_EQ(H.Imports.size(), 2u);
-  EXPECT_EQ(H.Imports[0].Name, "a");
-  EXPECT_EQ(H.Imports[1].Name, "b");
+  const char *Bodies[] = {
+      "42\n",
+      "let x = 99999999999999999999 in @ /* never closed",
+      "/* never closed\n1\n",
+      "@\n",
+      "99999999999999999999\n",
+  };
+  for (const char *Body : Bodies) {
+    ModuleHeader H;
+    std::string Error;
+    ASSERT_TRUE(ModuleLoader::scanHeader(
+        "m.fg", std::string("module m;\nimport a;\nimport b;\n") + Body, H,
+        Error))
+        << Body << ": " << Error;
+    EXPECT_TRUE(H.HasModuleDecl);
+    EXPECT_EQ(H.Name, "m");
+    ASSERT_EQ(H.Imports.size(), 2u) << Body;
+    EXPECT_EQ(H.Imports[0].Name, "a");
+    EXPECT_EQ(H.Imports[1].Name, "b");
+  }
 }
 
 TEST_F(ModulesTest, ScanHeaderPlainProgramHasNoHeader) {
@@ -121,10 +136,38 @@ TEST_F(ModulesTest, ScanHeaderPlainProgramHasNoHeader) {
 }
 
 TEST_F(ModulesTest, ScanHeaderRejectsMalformedHeader) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"module ;", "m.fg: expected module name after `module`"},
+      {"module @;", "m.fg: expected module name after `module`"},
+      {"module m import a;", "m.fg: expected `;` after module name"},
+      {"module m;\nimport 7;", "m.fg: expected module name after `import`"},
+      {"import a\nimport b;", "m.fg: expected `;` after import name"},
+      {"module m;\nimport a", "m.fg: expected `;` after import name"},
+  };
+  for (const auto &[Source, Message] : Cases) {
+    ModuleHeader H;
+    std::string Error;
+    EXPECT_FALSE(ModuleLoader::scanHeader("m.fg", Source, H, Error))
+        << Source;
+    EXPECT_EQ(Error, Message) << Source;
+  }
+}
+
+// The benchmark harness derives its header-scan layer from lexer.lex
+// timer calls outside a parse: one scan must be exactly one call.
+TEST_F(ModulesTest, ScanHeaderIsOneLexCall) {
+  stats::Statistics &S = stats::Statistics::global();
+  bool WasEnabled = S.isEnabled();
+  S.enable(true);
+  uint64_t Before = S.timers()["lexer.lex"].Calls;
   ModuleHeader H;
   std::string Error;
-  EXPECT_FALSE(ModuleLoader::scanHeader("m.fg", "module ;", H, Error));
-  EXPECT_NE(Error.find("module"), std::string::npos);
+  ASSERT_TRUE(ModuleLoader::scanHeader(
+      "m.fg", "module m;\nimport a;\nimport b;\nlet x = 1 in x\n", H,
+      Error));
+  uint64_t After = S.timers()["lexer.lex"].Calls;
+  S.enable(WasEnabled);
+  EXPECT_EQ(After - Before, 1u);
 }
 
 TEST_F(ModulesTest, LoaderBuildsDiamondInDependencyOrder) {
@@ -134,10 +177,11 @@ TEST_F(ModulesTest, LoaderBuildsDiamondInDependencyOrder) {
   ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
   EXPECT_EQ(Root, "top");
   EXPECT_EQ(Loader.modules().size(), 4u);
-  std::vector<std::string> Order = Loader.topoOrder("top");
+  std::vector<const ModuleUnit *> Order =
+      Loader.topoOrder({Loader.find("top")});
   ASSERT_EQ(Order.size(), 4u);
-  EXPECT_EQ(Order.front(), "base");
-  EXPECT_EQ(Order.back(), "top");
+  EXPECT_EQ(Order.front()->Name, "base");
+  EXPECT_EQ(Order.back()->Name, "top");
 }
 
 TEST_F(ModulesTest, LoaderRejectsImportCycle) {
@@ -402,6 +446,152 @@ static void loadCorpus(const fs::path &Dir,
   ASSERT_TRUE(corpus::writeCorpus(Mods, Dir.string(), Error)) << Error;
   std::string RootPath = (Dir / (Mods.back().Name + ".fg")).string();
   ASSERT_TRUE(Loader.loadFile(RootPath, Root, Error)) << Error;
+}
+
+/// The name-keyed walk the loader used before its graph was indexed,
+/// kept as the reference the indexed walk must reproduce exactly:
+/// depth-first over import *names* in declaration order, post-order,
+/// with a set of visited names.
+static std::vector<std::string> referenceTopoOrder(const ModuleLoader &L,
+                                                   const std::string &Root) {
+  std::vector<std::string> Order;
+  std::set<std::string> Visited;
+  struct Frame {
+    const ModuleUnit *U;
+    size_t NextImport = 0;
+  };
+  std::vector<Frame> Stack;
+  if (const ModuleUnit *R = L.find(Root)) {
+    Visited.insert(Root);
+    Stack.push_back({R});
+  }
+  while (!Stack.empty()) {
+    Frame &F = Stack.back();
+    if (F.NextImport < F.U->Imports.size()) {
+      const std::string &Dep = F.U->Imports[F.NextImport++].Name;
+      if (Visited.insert(Dep).second)
+        if (const ModuleUnit *D = L.find(Dep))
+          Stack.push_back({D});
+      continue;
+    }
+    Order.push_back(F.U->Name);
+    Stack.pop_back();
+  }
+  return Order;
+}
+
+/// The batch's union order as it was built before: each root's
+/// reference walk in turn, keeping a module's first occurrence.
+static std::vector<std::string>
+referenceUnion(const ModuleLoader &L, const std::vector<std::string> &Roots) {
+  std::vector<std::string> Order;
+  std::set<std::string> Seen;
+  for (const std::string &Root : Roots)
+    for (const std::string &M : referenceTopoOrder(L, Root))
+      if (Seen.insert(M).second)
+        Order.push_back(M);
+  return Order;
+}
+
+/// The names of \p Roots' closure in the loader's indexed walk.
+static std::vector<std::string>
+indexedOrder(const ModuleLoader &L, const std::vector<std::string> &Roots) {
+  std::vector<const ModuleUnit *> RootUnits;
+  for (const std::string &Root : Roots)
+    RootUnits.push_back(L.find(Root));
+  std::vector<std::string> Names;
+  for (const ModuleUnit *U : L.topoOrder(RootUnits))
+    Names.push_back(U->Name);
+  return Names;
+}
+
+/// Asserts that the indexed walks agree with the reference on \p L:
+/// every module's closure, and the union over \p Roots both from
+/// topoOrder and as the order of the batch's results.
+static void expectReferenceOrders(const ModuleLoader &L,
+                                  const std::vector<std::string> &Roots) {
+  for (const auto &[Name, U] : L.modules())
+    EXPECT_EQ(indexedOrder(L, {Name}), referenceTopoOrder(L, Name)) << Name;
+
+  std::vector<std::string> Expected = referenceUnion(L, Roots);
+  EXPECT_EQ(indexedOrder(L, Roots), Expected);
+
+  BatchOptions BO;
+  BO.Jobs = 2;
+  BO.UseCache = false;
+  BatchResult BR = runBatch(L, Roots, BO);
+  EXPECT_TRUE(BR.Success);
+  std::vector<std::string> Batched;
+  for (const ModuleBuildResult &R : BR.Results)
+    Batched.push_back(R.Module);
+  EXPECT_EQ(Batched, Expected);
+}
+
+/// Links \p Root and returns its value, rendered.
+static std::string linkedValue(const ModuleLoader &L, const std::string &Root) {
+  Frontend FE;
+  std::string Error;
+  const Term *Program = L.link(FE, Root, Error);
+  if (!Program)
+    return "link error: " + Error;
+  CompileOutput Out = FE.compileTerm(Program);
+  if (!Out.Success)
+    return "check error: " + Out.ErrorMessage;
+  sf::EvalResult R = FE.run(Out);
+  return R.ok() ? sf::valueToString(R.Val) : "run error: " + R.Error;
+}
+
+TEST_F(ModulesTest, IndexedWalkMatchesNameWalkOnFglib) {
+  ModuleLoader Loader;
+  std::string Root, Error;
+  ASSERT_TRUE(Loader.loadFile(
+      (fs::path(FG_FGLIB_DIR) / "fglib.fg").string(), Root, Error))
+      << Error;
+  ASSERT_EQ(Loader.modules().size(), 21u);
+  // Every module a root, in name order and reversed: the union then
+  // starts from leaves and from the top respectively.
+  std::vector<std::string> Roots;
+  for (const auto &[Name, U] : Loader.modules())
+    Roots.push_back(Name);
+  expectReferenceOrders(Loader, Roots);
+  std::reverse(Roots.begin(), Roots.end());
+  expectReferenceOrders(Loader, Roots);
+  EXPECT_EQ(linkedValue(Loader, Root), "(31, 36, 7, 24, true)");
+}
+
+TEST_F(ModulesTest, IndexedWalkMatchesNameWalkOnLayeredCorpus) {
+  corpus::CorpusOptions Opts;
+  Opts.Modules = 200;
+  Opts.Seed = 42;
+  std::vector<corpus::GeneratedModule> Mods = corpus::generate(Opts);
+  std::string Error;
+  ASSERT_TRUE(corpus::writeCorpus(Mods, Dir.string(), Error)) << Error;
+  // Loaded one file at a time in name order, as `fgc --batch <dir>`
+  // does, so ids follow file order rather than the root's walk.
+  ModuleLoader Loader;
+  std::vector<std::string> Roots;
+  for (const corpus::GeneratedModule &M : Mods) {
+    std::string Root;
+    ASSERT_TRUE(
+        Loader.loadFile((Dir / (M.Name + ".fg")).string(), Root, Error))
+        << Error;
+    Roots.push_back(Root);
+  }
+  // Diamonds: modules two of whose imports share a dependency, so the
+  // walk reaches that dependency twice and must place it once.
+  unsigned Diamonds = 0;
+  for (const auto &[Name, U] : Loader.modules()) {
+    size_t Reached = 0;
+    for (const ModuleHeader::Import &Imp : U.Imports)
+      Reached += referenceTopoOrder(Loader, Imp.Name).size();
+    Diamonds += Reached + 1 > referenceTopoOrder(Loader, Name).size();
+  }
+  EXPECT_GT(Diamonds, 50u);
+  expectReferenceOrders(Loader, Roots);
+  std::reverse(Roots.begin(), Roots.end());
+  expectReferenceOrders(Loader, Roots);
+  // Pinned from the name-keyed walk's link of the same corpus.
+  EXPECT_EQ(linkedValue(Loader, Mods.back().Name), "7");
 }
 
 TEST_F(ModulesTest, CorpusIsDeterministicAndSeedSensitive) {

@@ -250,6 +250,24 @@ TEST(ProtocolTest, CompileFailureIsAResultNotAProtocolError) {
             std::string::npos);
 }
 
+TEST(ProtocolTest, OversizedLiteralIsADiagnosticAndTheSessionLives) {
+  std::vector<Json> R = roundTrip({
+      "{\"id\":1,\"method\":\"check\",\"params\":"
+      "{\"source\":\"iadd(99999999999999999999, 1)\"}}",
+      "{\"id\":2,\"method\":\"check\",\"params\":"
+      "{\"source\":\"iadd(1, 2)\"}}",
+  });
+  ASSERT_EQ(R.size(), 2u);
+  const Json &Bad = resultOf(R[0]);
+  EXPECT_FALSE(Bad.find("success")->asBool());
+  EXPECT_NE(Bad.find("diagnostics")->asString().find(
+                "integer literal out of range"),
+            std::string::npos)
+      << R[0].write();
+  EXPECT_TRUE(resultOf(R[1]).find("success")->asBool());
+  EXPECT_EQ(resultOf(R[1]).find("type")->asString(), "int");
+}
+
 TEST(ProtocolTest, RunEvaluatesOnEachBackend) {
   std::vector<Json> R = roundTrip({
       "{\"id\":1,\"method\":\"run\",\"params\":{\"source\":\"iadd(1,2)\"}}",
