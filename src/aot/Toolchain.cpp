@@ -116,6 +116,31 @@ int runCommand(const std::string &Cmd, std::string &Stdout) {
   return 128; // Killed by a signal.
 }
 
+/// A file-name stem under \p Dir that no other compileProgram call
+/// uses: the pid tells processes apart, the counter tells apart the
+/// calls of one process, whose threads share the pid.
+std::string uniqueTemp(const std::string &Dir, const std::string &Key) {
+  static std::atomic<uint64_t> Calls{0};
+  return Dir + "/" + Key + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(Calls++);
+}
+
+bool writeFile(const std::string &Path, const std::string &Text) {
+  std::ofstream OS(Path, std::ios::trunc);
+  OS << Text;
+  OS.close();
+  return !OS.fail();
+}
+
+/// Moves this call's \p Tmp to the shared name \p Final in one step, so
+/// readers of \p Final never see a partly written file.
+bool publish(const std::string &Tmp, const std::string &Final) {
+  if (::rename(Tmp.c_str(), Final.c_str()) == 0)
+    return true;
+  ::unlink(Tmp.c_str());
+  return false;
+}
+
 std::string resolveCacheDir(const ToolchainOptions &Opts) {
   if (!Opts.CacheDir.empty())
     return Opts.CacheDir;
@@ -207,6 +232,11 @@ CompiledProgram fg::aot::compileProgram(const std::string &Cpp,
   std::string Key = artifactKey(Cpp, Cxx, Flags, EmitterVersion);
   std::string Exe = Dir + "/" + Key + ".bin";
   std::string CppPath = Dir + "/" + Key + ".cpp";
+  // Each call writes and compiles under names of its own and publishes
+  // with rename, so concurrent calls sharing the cache dir, from other
+  // processes or other threads, never read a half-written file.
+  std::string Tmp = uniqueTemp(Dir, Key);
+  std::string TmpCpp = Tmp + ".cpp", TmpExe = Tmp + ".bin";
 
   static std::atomic<uint64_t> &Hits =
       stats::Statistics::global().counter("aot.cache.hits");
@@ -217,49 +247,42 @@ CompiledProgram fg::aot::compileProgram(const std::string &Cpp,
     ++Hits;
     Out.ExePath = Exe;
     Out.CacheHit = true;
-    if (Opts.KeepCpp) {
-      std::ofstream OS(CppPath, std::ios::trunc);
-      OS << Cpp;
+    if (Opts.KeepCpp && writeFile(TmpCpp, Cpp) && publish(TmpCpp, CppPath))
       Out.CppPath = CppPath;
-    }
     return Out;
   }
   ++Misses;
 
   stats::ScopedTimer Timer("aot.compile");
-  {
-    std::ofstream OS(CppPath, std::ios::trunc);
-    OS << Cpp;
-    if (!OS) {
-      Out.Error = "aot: cannot write `" + CppPath + "`";
-      return Out;
-    }
+  if (!writeFile(TmpCpp, Cpp)) {
+    ::unlink(TmpCpp.c_str());
+    Out.Error = "aot: cannot write `" + TmpCpp + "`";
+    return Out;
   }
-  // Atomic publish: compile to a pid-suffixed temp, then rename, so
-  // concurrent processes sharing the cache dir never see a torn binary.
-  std::string Tmp = Exe + ".tmp." + std::to_string(::getpid());
-  std::string Cmd = shellQuote(Cxx) + " " + Flags + " -o " + shellQuote(Tmp) +
-                    " " + shellQuote(CppPath) + " 2>&1";
+  std::string Cmd = shellQuote(Cxx) + " " + Flags + " -o " +
+                    shellQuote(TmpExe) + " " + shellQuote(TmpCpp) + " 2>&1";
   std::string CompilerOutput;
   int Exit = runCommand(Cmd, CompilerOutput);
   if (Exit != 0) {
-    ::unlink(Tmp.c_str());
+    ::unlink(TmpExe.c_str());
     if (CompilerOutput.size() > 2000)
       CompilerOutput = CompilerOutput.substr(0, 2000) + "...";
+    std::string Kept =
+        ::rename(TmpCpp.c_str(), CppPath.c_str()) == 0 ? CppPath : TmpCpp;
     Out.Error = "aot: host compiler failed (exit " + std::to_string(Exit) +
-                "): " + CompilerOutput + " (generated C++ kept at " + CppPath +
+                "): " + CompilerOutput + " (generated C++ kept at " + Kept +
                 ")";
     return Out;
   }
-  if (::rename(Tmp.c_str(), Exe.c_str()) != 0) {
-    ::unlink(Tmp.c_str());
+  if (!publish(TmpExe, Exe)) {
+    ::unlink(TmpCpp.c_str());
     Out.Error = "aot: cannot publish artifact `" + Exe + "`";
     return Out;
   }
-  if (Opts.KeepCpp)
+  if (Opts.KeepCpp && publish(TmpCpp, CppPath))
     Out.CppPath = CppPath;
   else
-    ::unlink(CppPath.c_str());
+    ::unlink(TmpCpp.c_str());
   Out.ExePath = Exe;
   return Out;
 }

@@ -23,8 +23,11 @@
 /// program each get their own artifact; stale artifacts are simply
 /// never looked up (mirroring the server ArtifactCache's discipline of
 /// keying on every input).  Artifacts land in `--aot-cache=` /
-/// $FGC_AOT_CACHE / `./.fgc.aot-cache` and are written atomically
-/// (temp + rename) so concurrent test processes can share a dir.
+/// $FGC_AOT_CACHE / `./.fgc.aot-cache` and are written atomically:
+/// each compile writes its source and binary under temporary names of
+/// its own (pid plus a per-process counter) and renames them into
+/// place, so concurrent processes, and threads of one process, can
+/// share a dir.
 ///
 /// Observability: aot.cache.{hits,misses} counters; aot.compile /
 /// aot.run timers (gated like every other phase timer).

@@ -27,7 +27,6 @@
 #include "support/Stats.h"
 #include <csignal>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -74,30 +73,6 @@ int usageError() {
   return 2;
 }
 
-/// Same exit-path statistics emission discipline as fgc (Main.cpp).
-struct StatsReporter {
-  bool Human = false;
-  std::string JsonPath;
-
-  ~StatsReporter() {
-    const stats::Statistics &S = stats::Statistics::global();
-    if (Human)
-      S.print(std::cerr);
-    if (JsonPath.empty())
-      return;
-    if (JsonPath == "-") {
-      S.printJson(std::cout);
-      return;
-    }
-    std::ofstream Out(JsonPath);
-    if (!Out)
-      std::cerr << "fgcd: warning: cannot write stats to `" << JsonPath
-                << "`\n";
-    else
-      S.printJson(Out);
-  }
-};
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -106,7 +81,7 @@ int main(int Argc, char **Argv) {
   unsigned Threads = 0;
   size_t CacheEntries = 4096;
   std::vector<std::string> SearchPaths;
-  StatsReporter Reporter;
+  stats::StatsReporter Reporter("fgcd");
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];

@@ -201,32 +201,6 @@ int usageError() {
   return 2;
 }
 
-/// Emits the accumulated statistics per the --stats/--stats-json flags.
-/// Runs on every exit path once requested, so failed compilations still
-/// report (that is when the numbers are most interesting).
-struct StatsReporter {
-  bool Human = false;
-  std::string JsonPath;
-
-  ~StatsReporter() {
-    const stats::Statistics &S = stats::Statistics::global();
-    if (Human)
-      S.print(std::cerr);
-    if (JsonPath.empty())
-      return;
-    if (JsonPath == "-") {
-      S.printJson(std::cout);
-      return;
-    }
-    std::ofstream Out(JsonPath);
-    if (!Out)
-      std::cerr << "fgc: warning: cannot write stats to `" << JsonPath
-                << "`\n";
-    else
-      S.printJson(Out);
-  }
-};
-
 /// Expands batch path arguments: a directory stands for every `.fg`
 /// file directly inside it, sorted by name.
 bool expandBatchPaths(const std::vector<std::string> &Args,
@@ -384,7 +358,7 @@ int fgcMain(int Argc, char **Argv) {
   unsigned GenCorpus = 0;
   std::string CorpusOut;
   CompileOptions Opts;
-  StatsReporter Reporter;
+  stats::StatsReporter Reporter("fgc");
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];

@@ -10,6 +10,7 @@
 #include "support/Backends.h"
 #include "support/Stats.h"
 #include "systemf/Value.h"
+#include <set>
 
 using namespace fg;
 using namespace fg::server;
@@ -106,7 +107,14 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
     return Out;
   }
   const std::string &M = Method->asString();
-  stats::Statistics::global().add("server.requests." + M);
+  // Only the protocol's own methods get a counter: a client-chosen name
+  // would otherwise become a registry entry for the daemon's lifetime
+  // (unknown methods are counted as server.errors.unknown_method).
+  static const std::set<std::string> Methods = {
+      "version", "check", "run",   "dump-bytecode", "type",
+      "eval",    "load",  "reset", "stats",         "shutdown"};
+  if (Methods.count(M))
+    stats::Statistics::global().add("server.requests." + M);
   Json Empty = Json::object();
   const Json *ParamsPtr = Request.find("params");
   if (ParamsPtr && !ParamsPtr->isObject()) {
@@ -146,8 +154,7 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
     }
     std::string Name = Params.stringOr("name", HasPath ? Path : "<" + M + ">");
     if (M == "check") {
-      Outcome O = HasPath ? S.checkPath(Path) : S.check(Source, Name);
-      Out.Line = okReply(Id, resultOf(O)).write();
+      Out.Line = okReply(Id, resultOf(S.check(Source, Name, Path))).write();
       return Out;
     }
     if (M == "dump-bytecode") {
@@ -175,8 +182,7 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
                      .write();
       return Out;
     }
-    Outcome O = S.run(Source, Name, Engine, static_cast<int>(OptLevel),
-                      HasPath ? Path : "");
+    Outcome O = S.run(Source, Name, Engine, static_cast<int>(OptLevel), Path);
     Out.Line = O.BackendUnavailable
                    ? backendUnavailableReply(Id, Engine, O).write()
                    : okReply(Id, resultOf(O)).write();

@@ -51,7 +51,8 @@ void splitCommand(const std::string &Line, std::string &Cmd,
 }
 
 /// Prints an Outcome the human way: diagnostics / errors verbatim,
-/// otherwise whatever payload the request produced.
+/// otherwise whatever payload the request produced, then the runtime
+/// error of a program that compiled.
 void printOutcome(std::ostream &Out, const Outcome &O) {
   if (!O.Success) {
     if (!O.Diagnostics.empty()) {
@@ -80,16 +81,15 @@ void printOutcome(std::ostream &Out, const Outcome &O) {
       Out << "\n";
     return;
   }
-  if (!O.Value.empty() && !O.Type.empty()) {
+  if (!O.Value.empty() && !O.Type.empty())
     Out << O.Value << " : " << O.Type << "\n";
-    return;
-  }
-  if (!O.Type.empty()) {
+  else if (!O.Type.empty())
     Out << O.Type << "\n";
-    return;
-  }
-  if (!O.Value.empty())
+  else if (!O.Value.empty())
     Out << O.Value << "\n";
+  // The input compiled but failed at run time, as `:load` reports it.
+  if (!O.Error.empty())
+    Out << "error: " << O.Error << "\n";
 }
 
 } // namespace

@@ -17,7 +17,8 @@
 /// All sessions share the server's one ArtifactCache, so the daemon
 /// warms up: the first `check` of a program compiles, every later
 /// byte-identical `check` — from any session — is a string lookup.
-/// BenchServer measures the resulting cold/warm latency split.
+/// perfbench's `daemon` workload measures request latency end to end,
+/// with artifact-cache misses and hits in its mix.
 ///
 /// A `shutdown` request (from any session) stops the daemon: the
 /// listener closes, idle workers wake and exit, in-flight sessions
@@ -26,10 +27,11 @@
 /// unit-test entry point.
 ///
 /// Observability: `server.connections`, `server.sessions.opened`,
-/// `server.requests[.<method>]`, `server.errors.<code>`,
-/// `server.artifact_cache.{hits,misses,evictions}`; timers
-/// `server.request`, `server.check` (check, check-path and type),
-/// `server.run`, `server.eval`, `server.load`, `server.dump_bytecode`.
+/// `server.requests[.<method>]` (for the protocol's own methods only),
+/// `server.errors.<code>`, `server.artifact_cache.{hits,misses,evictions}`;
+/// timers `server.request`, `server.check` (check of source or path, and
+/// type), `server.run`, `server.eval`, `server.load`,
+/// `server.dump_bytecode`.
 ///
 //===----------------------------------------------------------------------===//
 

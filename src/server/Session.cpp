@@ -12,8 +12,6 @@
 #include "vm/Disasm.h"
 #include "vm/Emit.h"
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 using namespace fg;
 using namespace fg::server;
@@ -63,27 +61,6 @@ std::string trim(const std::string &S) {
   return S.substr(B, E - B + 1);
 }
 
-/// Rejects sources with a module header on source-text requests
-/// (imports need a filesystem anchor; the `path` request form has
-/// one).  Returns false with \p Out filled in when rejected.
-bool rejectModuleHeader(const std::string &Source, const std::string &Name,
-                        Outcome &Out) {
-  ModuleHeader Header;
-  std::string Error;
-  if (!modules::ModuleLoader::scanHeader(Name, Source, Header, Error)) {
-    Out.Success = false;
-    Out.Diagnostics = Error + "\n";
-    return false;
-  }
-  if (Header.HasModuleDecl || !Header.Imports.empty()) {
-    Out.Success = false;
-    Out.Error = "source has a module header; submit it as a file via the "
-                "`path` parameter so imports can be resolved";
-    return false;
-  }
-  return true;
-}
-
 Outcome fromArtifact(const ArtifactPtr &A) {
   Outcome O;
   O.Success = A->Success;
@@ -107,6 +84,82 @@ ArtifactPtr toArtifact(const Outcome &O) {
   return A;
 }
 
+/// The program a request names: source text, or a file with its import
+/// cone loaded (Root is then the file's module).
+struct Program {
+  explicit Program(const std::vector<std::string> &SearchPaths)
+      : Loader(modules::ModuleLoader::Options{SearchPaths}) {}
+  modules::ModuleLoader Loader;
+  std::string Root;
+  CacheKey Key;
+};
+
+/// Opens the program of a request: \p Source, which must have no module
+/// header (imports need a file to resolve against; the `path` form has
+/// one), or, with \p Path nonempty, that file and its import cone.  The
+/// key covers \p Kind plus the source text, or plus the content hash of
+/// the entire cone, so an edit in any imported file invalidates — the
+/// same discipline as `.fgi` interface hashes.  Returns false with \p O
+/// filled in when the program cannot be opened.
+bool open(Program &P, const std::string &Kind, const std::string &Source,
+          const std::string &Name, const std::string &Path, Outcome &O) {
+  if (!Path.empty()) {
+    if (!P.Loader.loadFile(Path, P.Root, O.Error))
+      return false;
+    P.Key =
+        ArtifactCache::key(Kind + ":path", "", P.Loader.contentHash(P.Root));
+    return true;
+  }
+  ModuleHeader Header;
+  std::string Error;
+  if (!modules::ModuleLoader::scanHeader(Name, Source, Header, Error)) {
+    O.Diagnostics = Error + "\n";
+    return false;
+  }
+  if (Header.HasModuleDecl || !Header.Imports.empty()) {
+    O.Error = "source has a module header; submit it as a file via the "
+              "`path` parameter so imports can be resolved";
+    return false;
+  }
+  P.Key = ArtifactCache::key(Kind, Source, 0);
+  return true;
+}
+
+/// Compiles \p P in \p FE — the source text, or the file's import cone
+/// linked into one program — and fills in the type.  Returns false with
+/// the diagnostics in \p O when it does not compile.
+bool compile(Frontend &FE, const Program &P, const std::string &Source,
+             const std::string &Name, CompileOutput &Out, Outcome &O) {
+  if (P.Root.empty()) {
+    Out = FE.compile(Name, Source);
+  } else {
+    std::string Error;
+    const Term *Linked = P.Loader.link(FE, P.Root, Error);
+    if (!Linked) {
+      O.Diagnostics = Error + "\n" + FE.getDiags().render();
+      return false;
+    }
+    Out = FE.compileTerm(Linked);
+  }
+  if (!Out.Success) {
+    O.Diagnostics = FE.getDiags().render();
+    return false;
+  }
+  O.Success = true;
+  O.Type = typeToString(Out.FgType);
+  return true;
+}
+
+/// Records what running the program produced: its value, or the runtime
+/// error of a program that compiled.
+void report(const ExecResult &R, Outcome &O) {
+  O.BackendUnavailable = R.Unavailable;
+  if (!R.ok())
+    O.Error = R.Error;
+  else
+    O.Value = sf::valueToString(R.Val);
+}
+
 } // namespace
 
 Session::Session(std::shared_ptr<ArtifactCache> Cache, Options Opts)
@@ -114,171 +167,67 @@ Session::Session(std::shared_ptr<ArtifactCache> Cache, Options Opts)
   stats::Statistics::global().add("server.sessions.opened");
 }
 
-Outcome Session::checkImpl(const std::string &Source, const std::string &Name,
-                           const std::string &KeyKind, uint64_t Salt) {
-  CacheKey Key = ArtifactCache::key(KeyKind, Source, Salt);
-  if (ArtifactPtr A = Cache->get(Key))
+Outcome Session::cached(const std::string &Kind, const char *TimerName,
+                        const std::string &Source, const std::string &Name,
+                        const std::string &Path,
+                        const AfterCompile &Then) {
+  Outcome O;
+  Program P(Opts.SearchPaths);
+  if (!open(P, Kind, Source, Name, Path, O))
+    return O;
+  if (ArtifactPtr A = Cache->get(P.Key))
     return fromArtifact(A);
 
-  stats::ScopedTimer Timer("server.check");
-  Outcome O;
+  stats::ScopedTimer Timer(TimerName);
   Frontend FE;
-  CompileOutput Out = FE.compile(Name, Source);
-  O.Success = Out.Success;
-  if (Out.Success)
-    O.Type = typeToString(Out.FgType);
-  else
-    O.Diagnostics = FE.getDiags().render();
-  Cache->put(Key, toArtifact(O));
+  CompileOutput Out;
+  if (compile(FE, P, Source, Name, Out, O) && Then)
+    Then(FE, Out, O);
+  if (!O.BackendUnavailable) // See Outcome::BackendUnavailable.
+    Cache->put(P.Key, toArtifact(O));
   return O;
 }
 
-Outcome Session::check(const std::string &Source, const std::string &Name) {
-  Outcome Rejected;
-  if (!rejectModuleHeader(Source, Name, Rejected))
-    return Rejected;
-  return checkImpl(Source, Name, "check:v1", 0);
-}
-
-Outcome Session::checkPath(const std::string &Path) {
-  modules::ModuleLoader::Options LO;
-  LO.SearchPaths = Opts.SearchPaths;
-  modules::ModuleLoader Loader(LO);
-  std::string Root;
-  Outcome O;
-  if (!Loader.loadFile(Path, Root, O.Error))
-    return O;
-
-  // The key covers the entire import cone, so an edit in any imported
-  // file invalidates — the same discipline as `.fgi` interface hashes.
-  CacheKey Key =
-      ArtifactCache::key("check-path:v1", "", Loader.contentHash(Root));
-  if (ArtifactPtr A = Cache->get(Key))
-    return fromArtifact(A);
-
-  stats::ScopedTimer Timer("server.check");
-  Frontend FE;
-  std::string Error;
-  const Term *Program = Loader.link(FE, Root, Error);
-  if (!Program) {
-    O.Success = false;
-    O.Diagnostics = Error + "\n" + FE.getDiags().render();
-    Cache->put(Key, toArtifact(O));
-    return O;
-  }
-  CompileOutput Out = FE.compileTerm(Program);
-  O.Success = Out.Success;
-  if (Out.Success)
-    O.Type = typeToString(Out.FgType);
-  else
-    O.Diagnostics = FE.getDiags().render();
-  Cache->put(Key, toArtifact(O));
-  return O;
+Outcome Session::check(const std::string &Source, const std::string &Name,
+                       const std::string &Path) {
+  return cached("check:v1", "server.check", Source, Name, Path, nullptr);
 }
 
 Outcome Session::run(const std::string &Source, const std::string &Name,
                      Backend Engine, int OptLevel, const std::string &Path) {
-  Outcome O;
-  std::string KeyKind = std::string("run:v2:") + backendName(Engine) + ":" +
-                        std::to_string(OptLevel);
-  CacheKey Key;
-  modules::ModuleLoader::Options LO;
-  LO.SearchPaths = Opts.SearchPaths;
-  modules::ModuleLoader Loader(LO);
-  std::string Root;
-  if (!Path.empty()) {
-    if (!Loader.loadFile(Path, Root, O.Error))
-      return O;
-    Key = ArtifactCache::key(KeyKind + ":path", "", Loader.contentHash(Root));
-  } else {
-    if (!rejectModuleHeader(Source, Name, O))
-      return O;
-    Key = ArtifactCache::key(KeyKind, Source, 0);
-  }
-  if (ArtifactPtr A = Cache->get(Key))
-    return fromArtifact(A);
-
-  stats::ScopedTimer Timer("server.run");
-  Frontend FE;
-  CompileOutput Out;
-  if (!Path.empty()) {
-    std::string Error;
-    const Term *Program = Loader.link(FE, Root, Error);
-    if (!Program) {
-      O.Success = false;
-      O.Diagnostics = Error + "\n" + FE.getDiags().render();
-      Cache->put(Key, toArtifact(O));
-      return O;
-    }
-    Out = FE.compileTerm(Program);
-  } else {
-    Out = FE.compile(Name, Source);
-  }
-  if (!Out.Success) {
-    O.Success = false;
-    O.Diagnostics = FE.getDiags().render();
-    Cache->put(Key, toArtifact(O));
-    return O;
-  }
-  O.Success = true;
-  O.Type = typeToString(Out.FgType);
-
-  ExecRequest Req;
-  Req.Engine = Engine;
-  if (OptLevel > 0)
-    Req.Level = OptLevel >= 2 ? sf::SpecializeLevel::Full
-                              : sf::SpecializeLevel::Off;
-  ExecResult R = execute(FE, Out, Req);
-  if (R.Unavailable) {
-    O.BackendUnavailable = true;
-    O.Error = R.Error;
-    return O; // Deliberately uncached; see Outcome::BackendUnavailable.
-  }
-  if (!R.ok())
-    O.Error = R.Error;
-  else
-    O.Value = sf::valueToString(R.Val);
-  Cache->put(Key, toArtifact(O));
-  return O;
+  std::string Kind = std::string("run:v2:") + backendName(Engine) + ":" +
+                     std::to_string(OptLevel);
+  return cached(Kind, "server.run", Source, Name, Path,
+                [&](Frontend &FE, CompileOutput &Out, Outcome &O) {
+                  ExecRequest Req;
+                  Req.Engine = Engine;
+                  if (OptLevel > 0)
+                    Req.Level = OptLevel >= 2 ? sf::SpecializeLevel::Full
+                                              : sf::SpecializeLevel::Off;
+                  report(execute(FE, Out, Req), O);
+                });
 }
 
 Outcome Session::typeOf(const std::string &Expr) {
-  return checkImpl(Decls + Expr, "<repl>", "type:v1", 0);
+  return cached("type:v1", "server.check", Decls + Expr, "<repl>", "",
+                nullptr);
 }
 
 Outcome Session::dumpBytecode(const std::string &Source,
                               const std::string &Name) {
-  Outcome Rejected;
-  if (!rejectModuleHeader(Source, Name, Rejected))
-    return Rejected;
-  CacheKey Key = ArtifactCache::key("bytecode:v1", Source, 0);
-  if (ArtifactPtr A = Cache->get(Key))
-    return fromArtifact(A);
-
-  stats::ScopedTimer Timer("server.dump_bytecode");
-  Outcome O;
-  Frontend FE;
-  CompileOutput Out = FE.compile(Name, Source);
-  if (!Out.Success) {
-    O.Success = false;
-    O.Diagnostics = FE.getDiags().render();
-    Cache->put(Key, toArtifact(O));
-    return O;
-  }
-  std::string Error;
-  std::shared_ptr<const vm::Chunk> Chunk =
-      vm::compile(Out.SfTerm, FE.getPrelude(), &Error);
-  if (!Chunk) {
-    O.Success = false;
-    O.Error = "cannot compile to bytecode: " + Error;
-    Cache->put(Key, toArtifact(O));
-    return O;
-  }
-  O.Success = true;
-  O.Type = typeToString(Out.FgType);
-  O.Bytecode = vm::disassemble(*Chunk);
-  Cache->put(Key, toArtifact(O));
-  return O;
+  return cached("bytecode:v1", "server.dump_bytecode", Source, Name, "",
+                [](Frontend &FE, CompileOutput &Out, Outcome &O) {
+                  std::string Error;
+                  std::shared_ptr<const vm::Chunk> Chunk =
+                      vm::compile(Out.SfTerm, FE.getPrelude(), &Error);
+                  if (!Chunk) {
+                    O.Success = false;
+                    O.Type.clear();
+                    O.Error = "cannot compile to bytecode: " + Error;
+                    return;
+                  }
+                  O.Bytecode = vm::disassemble(*Chunk);
+                });
 }
 
 Outcome Session::eval(const std::string &RawInput, Backend Engine) {
@@ -302,16 +251,7 @@ Outcome Session::eval(const std::string &RawInput, Backend Engine) {
       O.Type = typeToString(Out.FgType);
       ExecRequest Req;
       Req.Engine = Engine;
-      ExecResult R = execute(FE, Out, Req);
-      if (R.Unavailable) {
-        O.BackendUnavailable = true;
-        O.Error = R.Error;
-        return O;
-      }
-      if (!R.ok())
-        O.Error = R.Error;
-      else
-        O.Value = sf::valueToString(R.Val);
+      report(execute(FE, Out, Req), O);
       return O;
     }
     if (!DeclCandidate) {
@@ -348,41 +288,21 @@ Outcome Session::eval(const std::string &RawInput, Backend Engine) {
 Outcome Session::load(const std::string &Path) {
   stats::ScopedTimer Timer("server.load");
   Outcome O;
-  modules::ModuleLoader::Options LO;
-  LO.SearchPaths = Opts.SearchPaths;
-  modules::ModuleLoader Loader(LO);
-  std::string Root;
-  if (!Loader.loadFile(Path, Root, O.Error))
+  Program P(Opts.SearchPaths);
+  if (!open(P, "load", "", Path, Path, O))
     return O;
-
   // Evaluate the file itself (its imports resolved) ...
   Frontend FE;
-  std::string Error;
-  const Term *Program = Loader.link(FE, Root, Error);
-  if (!Program) {
-    O.Success = false;
-    O.Diagnostics = Error + "\n" + FE.getDiags().render();
+  CompileOutput Out;
+  if (!compile(FE, P, "", Path, Out, O))
     return O;
-  }
-  CompileOutput Out = FE.compileTerm(Program);
-  if (!Out.Success) {
-    O.Success = false;
-    O.Diagnostics = FE.getDiags().render();
-    return O;
-  }
-  O.Success = true;
-  O.Type = typeToString(Out.FgType);
-  sf::EvalResult R = FE.run(Out);
-  if (!R.ok())
-    O.Error = R.Error;
-  else
-    O.Value = sf::valueToString(R.Val);
+  report(execute(FE, Out, ExecRequest()), O);
 
   // ... then splice the whole closure's declaration spines into the
   // session scope, deps outermost — textual linking.
   Frontend SpineFE;
-  std::string Spine;
-  if (!Loader.spineText(SpineFE, Root, Spine, Error)) {
+  std::string Spine, Error;
+  if (!P.Loader.spineText(SpineFE, P.Root, Spine, Error)) {
     // The file ran but its declarations could not be spliced into the
     // session scope — report failure, not a half-loaded success.
     O.Success = false;

@@ -43,11 +43,16 @@
 
 #include "server/ArtifactCache.h"
 #include "support/Backends.h"
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace fg {
+
+class Frontend;
+struct CompileOutput;
+
 namespace server {
 
 /// What one session request produced.  `Success` is about the
@@ -86,14 +91,14 @@ public:
   explicit Session(std::shared_ptr<ArtifactCache> Cache,
                    Options Opts = Options());
 
-  /// Typechecks a self-contained program (no module header).  Cached.
+  /// Typechecks a self-contained program (no module header).  With
+  /// \p Path nonempty the file at \p Path is checked instead, its
+  /// imports resolved (whole-program link), and \p Source is ignored.
+  /// Cached; a path is keyed on the content hash of its entire import
+  /// cone.
   Outcome check(const std::string &Source,
-                const std::string &Name = "<check>");
-
-  /// Typechecks the file at \p Path; module headers and imports are
-  /// resolved (whole-program link).  Cached, keyed on the content hash
-  /// of the entire import cone.
-  Outcome checkPath(const std::string &Path);
+                const std::string &Name = "<check>",
+                const std::string &Path = "");
 
   /// Compiles and evaluates on \p Engine at \p OptLevel 0 (-O0), 1
   /// (-O1) or 2 (-O2): the engine runs the term the level selects, as
@@ -132,9 +137,19 @@ public:
   ArtifactCache &cache() { return *Cache; }
 
 private:
-  /// check() body under an explicit cache-key kind tag.
-  Outcome checkImpl(const std::string &Source, const std::string &Name,
-                    const std::string &KeyKind, uint64_t Salt);
+  /// What a cached request kind does with a program that compiled,
+  /// beyond reporting its type.
+  using AfterCompile =
+      std::function<void(Frontend &, CompileOutput &, Outcome &)>;
+
+  /// The one path of the cached request kinds: opens the program
+  /// (\p Source, or the file at \p Path with its import cone), answers
+  /// from the shared cache on a hit, and otherwise compiles it under
+  /// the timer \p TimerName, runs \p Then (when set) if it compiled,
+  /// and caches the outcome under \p Kind.
+  Outcome cached(const std::string &Kind, const char *TimerName,
+                 const std::string &Source, const std::string &Name,
+                 const std::string &Path, const AfterCompile &Then);
 
   std::shared_ptr<ArtifactCache> Cache;
   Options Opts;

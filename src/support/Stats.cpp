@@ -7,8 +7,9 @@
 
 #include "support/Stats.h"
 #include <chrono>
+#include <fstream>
 #include <iomanip>
-#include <ostream>
+#include <iostream>
 #include <sstream>
 #include <vector>
 
@@ -157,4 +158,22 @@ void Statistics::printJson(std::ostream &OS) const {
     First = false;
   }
   OS << (First ? "" : "\n  ") << "}\n}\n";
+}
+
+StatsReporter::~StatsReporter() {
+  const Statistics &S = Statistics::global();
+  if (Human)
+    S.print(std::cerr);
+  if (JsonPath.empty())
+    return;
+  if (JsonPath == "-") {
+    S.printJson(std::cout);
+    return;
+  }
+  std::ofstream Out(JsonPath);
+  if (!Out)
+    std::cerr << Tool << ": warning: cannot write stats to `" << JsonPath
+              << "`\n";
+  else
+    S.printJson(Out);
 }

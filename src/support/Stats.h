@@ -126,6 +126,23 @@ private:
   std::map<std::string, TimerRecord> Timers;
 };
 
+/// Emits the registry when it goes out of scope, as a driver's
+/// `--stats` (human report on stderr) and `--stats-json=<file>` (JSON,
+/// `-` for stdout) flags ask.  Declared at the top of `main`, it runs
+/// on every exit path, so failed runs still report (that is when the
+/// numbers are most interesting).
+struct StatsReporter {
+  /// \p Tool names the program in the write warning.
+  explicit StatsReporter(const char *Tool) : Tool(Tool) {}
+  ~StatsReporter();
+  StatsReporter(const StatsReporter &) = delete;
+  StatsReporter &operator=(const StatsReporter &) = delete;
+
+  const char *Tool;
+  bool Human = false;   ///< `--stats`.
+  std::string JsonPath; ///< `--stats-json=`; empty when not asked.
+};
+
 /// Times one scope into a named phase.  Free when the registry is
 /// disabled at construction.
 class ScopedTimer {

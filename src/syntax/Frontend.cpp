@@ -103,7 +103,7 @@ sf::EvalResult Frontend::runProgram(const std::string &Name,
   CompileOutput Out = compile(Name, Source);
   if (!Out.Success)
     return sf::EvalResult::failure(Out.ErrorMessage);
-  return run(Out);
+  return execute(*this, Out, ExecRequest());
 }
 
 interp::EvalResult Frontend::runDirect(const CompileOutput &Out,

@@ -16,7 +16,7 @@
 ///   fg::Frontend FE;
 ///   fg::CompileOutput Out = FE.compile("demo", Source);
 ///   if (Out.Success) {
-///     sf::EvalResult R = FE.run(Out);
+///     fg::ExecResult R = fg::execute(FE, Out, fg::ExecRequest());
 ///     ... sf::valueToString(R.Val) ...
 ///   }
 /// \endcode
@@ -115,7 +115,9 @@ public:
   CompileOutput compileTerm(const Term *Ast,
                             const CompileOptions &Opts = CompileOptions());
 
-  /// Evaluates a successful compilation under the builtin prelude.
+  /// Evaluates a successful compilation under the builtin prelude: the
+  /// tree engine on the translation, timed on its own by the perfbench
+  /// harness.  Everything else runs programs through fg::execute().
   sf::EvalResult run(const CompileOutput &Out,
                      const sf::EvalOptions &Opts = sf::EvalOptions());
 

@@ -163,37 +163,6 @@ const sf::Term *Validator::findSmallestIllTyped(const sf::Term *T) {
   return Search.descend(T);
 }
 
-bool Validator::checkTranslation(const sf::Term *T,
-                                 const sf::Type *Expected) {
-  static std::atomic<uint64_t> &Checks =
-      stats::Statistics::global().counter("validate.translate.checks");
-  static std::atomic<uint64_t> &Failures =
-      stats::Statistics::global().counter("validate.translate.failures");
-  stats::ScopedTimer Timer("validate.translate");
-  ++Checks;
-
-  sf::TypeChecker Checker(Ctx);
-  const sf::Type *Ty = Checker.check(T, BaseEnv);
-  if (!Ty) {
-    ++Failures;
-    const sf::Term *Culprit = findSmallestIllTyped(T);
-    Error = "internal error: translation is not well typed in System F: " +
-            Checker.firstError() + "; smallest ill-typed subterm: `" +
-            sf::termToString(Culprit ? Culprit : T) + "`";
-    return false;
-  }
-  if (Expected && Ty != Expected) {
-    ++Failures;
-    Error = "internal error: translation violates Theorem 2: the translated "
-            "term has type `" +
-            sf::typeToString(Ty) + "` but the program's F_G type translates "
-            "to `" +
-            sf::typeToString(Expected) + "`";
-    return false;
-  }
-  return true;
-}
-
 bool Validator::checkPass(const char *PassName, const sf::Term *After,
                           const sf::Type *Expected) {
   static std::atomic<uint64_t> &Checks =

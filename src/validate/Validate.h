@@ -7,17 +7,19 @@
 ///
 /// \file
 /// Translation validation for the F_G compiler.  The paper proves its
-/// Theorems 1 and 2 on paper; this layer makes them executable:
+/// Theorems 1 and 2 on paper; the compiler makes them executable in two
+/// places:
 ///
 ///  * After Translate, the System F typechecker re-checks the emitted
 ///    term and its type is compared (one pointer comparison, thanks to
 ///    hash-consing) against the System F image of the program's F_G
-///    type.  Frontend::compile runs this when VerifyTranslation is on.
+///    type.  That check lives in Frontend::compileTerm
+///    (syntax/Frontend.h), which runs it when VerifyTranslation is on.
 ///
-///  * During Optimize, a Validator's passHook() re-typechecks each
-///    individual pass's output, so a type-breaking rewrite is caught
-///    immediately and attributed to the pass by name, with the
-///    smallest ill-typed subterm pretty-printed for debugging.
+///  * During Optimize, this layer's Validator re-typechecks each
+///    individual pass's output through passHook(), so a type-breaking
+///    rewrite is caught immediately and attributed to the pass by name,
+///    with the smallest ill-typed subterm pretty-printed for debugging.
 ///
 /// The driver exposes both under `--validate[=off|translate|passes]`,
 /// and the fuzzer (validate/Fuzz.h) drives them with generated
@@ -62,12 +64,6 @@ public:
   /// may reference — the prelude, plus imports for modules.
   Validator(sf::TypeContext &Ctx, sf::TypeEnv BaseEnv)
       : Ctx(Ctx), BaseEnv(std::move(BaseEnv)) {}
-
-  /// Theorem 2, executable: re-typechecks \p T and compares its type
-  /// against \p Expected (the System F image of the program's F_G
-  /// type; may be null when unknown, reducing this to Theorem 1).
-  /// Returns true when the check passes.
-  bool checkTranslation(const sf::Term *T, const sf::Type *Expected);
 
   /// Re-typechecks one optimizer pass's output.  On failure, latches
   /// an error naming \p PassName and pretty-printing the smallest

@@ -9,8 +9,9 @@
 //    sf::valueToString can print (the channel the differential harness
 //    compares backends through);
 //  * build-cache hygiene — the second compilation of a byte-identical
-//    program is a hit, a fresh `--aot-cache=` dir starts cold, and a
-//    bumped emitter version changes the artifact key;
+//    program is a hit, a fresh `--aot-cache=` dir starts cold, a
+//    bumped emitter version changes the artifact key, and concurrent
+//    compiles of one program into one dir all succeed;
 //  * execution semantics the in-process engines cannot reach — 60k-deep
 //    recursion on the child's big stack — plus abort-diagnostic parity
 //    with the tree evaluator and graceful degradation without a host
@@ -29,7 +30,9 @@
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <string>
+#include <thread>
 #include <unistd.h>
+#include <vector>
 
 using namespace fg;
 
@@ -184,6 +187,38 @@ TEST(AotCacheTest, KeepCppLeavesTheGeneratedSource) {
       runAotSource(FE, "iadd(1, 1)", sf::EvalOptions(), TO, &Info).ok());
   ASSERT_FALSE(Info.CppPath.empty());
   EXPECT_EQ(::access(Info.CppPath.c_str(), R_OK), 0) << Info.CppPath;
+}
+
+TEST(AotCacheTest, ConcurrentCompilesOfOneProgramAllSucceed) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  // Threads of one process share a pid, so only names private to each
+  // call keep one compile from reading another's half-written source or
+  // publishing another's half-linked binary.
+  Frontend FE;
+  CompileOutput Out = FE.compile("aot-race.fg", "imult(6, 7)");
+  ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
+  aot::EmittedProgram Program = aot::emitCpp(Out.SfTerm, FE.getPrelude());
+  ASSERT_TRUE(Program.Error.empty()) << Program.Error;
+  aot::ToolchainOptions TO;
+  TO.CacheDir = freshCacheDir("threads");
+
+  constexpr int N = 6;
+  std::vector<std::string> Printed(N);
+  std::vector<std::thread> Threads;
+  for (int I = 0; I < N; ++I)
+    Threads.emplace_back([&, I] {
+      aot::CompiledProgram C = aot::compileProgram(Program.Cpp, TO);
+      if (!C.ok()) {
+        Printed[I] = C.Error;
+        return;
+      }
+      aot::RunOutput R = aot::runProgram(C.ExePath, sf::EvalOptions());
+      Printed[I] = R.ok() ? R.Payload : R.Error;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (int I = 0; I < N; ++I)
+    EXPECT_EQ(Printed[I], "42") << "call " << I;
 }
 
 TEST(AotExecTest, SixtyThousandDeepRecursionWorks) {

@@ -173,6 +173,18 @@ TEST(ReplTest, TypeErrorsAreReportedAndRecoverable) {
       << "the session must survive a type error: " << Out;
 }
 
+TEST(ReplTest, RuntimeErrorsArePrintedAfterTheType) {
+  // The input compiles (so the type prints) but fails at run time; the
+  // error must not be swallowed, and the session goes on.
+  std::string Out = repl("car[int](nil[int])\n"
+                         "iadd(1, 1)\n"
+                         ":quit\n");
+  EXPECT_NE(Out.find("fg> int\nerror: `car` of the empty list\n"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("2 : int"), std::string::npos) << Out;
+}
+
 TEST(ReplTest, ResetDropsTheScope) {
   std::string Out = repl("let x = 1\n"
                          ":reset\n"

@@ -534,6 +534,54 @@ TEST(ProtocolTest, ErrorCodes) {
   EXPECT_EQ(R[3].find("id")->asInt(), 2);
 }
 
+TEST(ProtocolTest, MethodNamesNeverReachTheStatsRegistry) {
+  // A method name is client-chosen text: one with a quote or a newline
+  // must not turn the registry's JSON dump (`fgcd --stats-json`) into
+  // something no JSON reader accepts.
+  std::vector<Json> R = roundTrip({
+      "{\"id\":1,\"method\":\"a\\\"b\"}",
+      "{\"id\":2,\"method\":\"a\\nb\"}",
+  });
+  EXPECT_EQ(errorCode(R[0]), "unknown_method");
+  EXPECT_EQ(errorCode(R[1]), "unknown_method");
+  std::ostringstream Dump;
+  stats::Statistics::global().printJson(Dump);
+  Json Parsed;
+  std::string Error;
+  EXPECT_TRUE(Json::parse(Dump.str(), Parsed, Error)) << Error;
+
+  // Nor does each distinct unknown method add a counter that lives as
+  // long as the daemon.
+  size_t Before = stats::Statistics::global().counters().size();
+  std::vector<std::string> Unknown;
+  for (int I = 0; I < 1000; ++I)
+    Unknown.push_back("{\"id\":" + std::to_string(I) +
+                      ",\"method\":\"no-such-method-" + std::to_string(I) +
+                      "\"}");
+  for (const Json &Reply : roundTrip(Unknown))
+    EXPECT_EQ(errorCode(Reply), "unknown_method");
+  EXPECT_EQ(stats::Statistics::global().counters().size(), Before);
+}
+
+TEST(ProtocolTest, RuntimeFailureIsASuccessfulCompileWithAnError) {
+  // `success` is about the compilation: a program that typechecks and
+  // then fails at run time answers success:true, its type, an error
+  // and no value -- and the outcome is cached like any other.
+  const std::string Run = "{\"id\":1,\"method\":\"run\",\"params\":"
+                          "{\"source\":\"car[int](nil[int])\"}}";
+  std::vector<Json> R = roundTrip({Run, Run});
+  for (const Json &Reply : R) {
+    const Json &Res = resultOf(Reply);
+    EXPECT_TRUE(Res.find("success")->asBool()) << Reply.write();
+    EXPECT_EQ(Res.find("type")->asString(), "int");
+    EXPECT_EQ(Res.find("value"), nullptr) << Reply.write();
+    ASSERT_NE(Res.find("error"), nullptr) << Reply.write();
+    EXPECT_EQ(Res.find("error")->asString(), "`car` of the empty list");
+  }
+  EXPECT_FALSE(resultOf(R[0]).find("cached")->asBool());
+  EXPECT_TRUE(resultOf(R[1]).find("cached")->asBool());
+}
+
 TEST(ProtocolTest, ShutdownEndsTheStream) {
   bool Shutdown = false;
   std::vector<Json> R = roundTrip(
@@ -745,14 +793,14 @@ TEST(SessionTest, CheckPathCachesOnTheImportCone) {
       Dir.write("main.fg", "module main;\nimport dep;\niadd(base, 1)\n");
   auto Cache = std::make_shared<ArtifactCache>();
   Session S(Cache);
-  Outcome First = S.checkPath(Main);
+  Outcome First = S.check("", Main, Main);
   EXPECT_TRUE(First.Success) << First.Error << First.Diagnostics;
   EXPECT_EQ(First.Type, "int");
   EXPECT_FALSE(First.Cached);
-  EXPECT_TRUE(S.checkPath(Main).Cached);
+  EXPECT_TRUE(S.check("", Main, Main).Cached);
   // Editing the dependency invalidates the path artifact.
   Dir.write("dep.fg", "module dep;\nlet base = true in 0\n");
-  Outcome Third = S.checkPath(Main);
+  Outcome Third = S.check("", Main, Main);
   EXPECT_FALSE(Third.Cached);
   EXPECT_FALSE(Third.Success);
 }

@@ -67,9 +67,6 @@ model Monoid<int> { op = iadd; unit = 0; } in
   ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
 
   validate::Validator V(FE.getSfContext(), FE.getPrelude().Types);
-  EXPECT_TRUE(V.checkTranslation(Out.SfTerm, Out.SfType));
-  EXPECT_TRUE(V.checkTranslation(Out.SfTerm, Out.SfExpectedType));
-
   sf::OptimizeOptions Opts;
   Opts.PassHook = V.passHook(Out.SfType);
   sf::OptimizeStats Stats;
