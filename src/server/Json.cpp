@@ -29,9 +29,16 @@ std::string Json::stringOr(const std::string &Key,
   return V && V->isString() ? V->asString() : Default;
 }
 
-int64_t Json::intOr(const std::string &Key, int64_t Default) const {
-  const Json *V = find(Key);
-  return V && V->isNumber() ? V->asInt() : Default;
+int64_t Json::asInt() const {
+  if (K != Kind::Double)
+    return I;
+  if (std::isnan(D))
+    return 0;
+  if (D >= 0x1p63)
+    return INT64_MAX;
+  if (D < -0x1p63)
+    return INT64_MIN;
+  return static_cast<int64_t>(D);
 }
 
 bool Json::boolOr(const std::string &Key, bool Default) const {

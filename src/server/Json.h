@@ -87,7 +87,10 @@ public:
   bool isObject() const { return K == Kind::Object; }
 
   bool asBool() const { return B; }
-  int64_t asInt() const { return K == Kind::Double ? (int64_t)D : I; }
+  /// The number as an int64.  A double is truncated toward zero, and
+  /// one outside int64's range saturates (NaN reads as 0), so no
+  /// conversion is undefined.
+  int64_t asInt() const;
   double asDouble() const { return K == Kind::Double ? D : (double)I; }
   const std::string &asString() const { return S; }
   const std::vector<Json> &elements() const { return Elems; }
@@ -97,10 +100,9 @@ public:
 
   /// Object field lookup; null when absent (or not an object).
   const Json *find(const std::string &Key) const;
-  /// Convenience accessors with defaults for optional request params.
+  /// Convenience accessors with defaults for optional members.
   std::string stringOr(const std::string &Key,
                        const std::string &Default) const;
-  int64_t intOr(const std::string &Key, int64_t Default) const;
   bool boolOr(const std::string &Key, bool Default) const;
 
   /// Appends to an array / sets an object member (last set wins on

@@ -125,12 +125,27 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
   }
   const Json &Params = ParamsPtr ? *ParamsPtr : Empty;
 
+  auto invalidParams = [&](const std::string &Message) {
+    Out.Line = errorReply(Id, "invalid_params", Message).write();
+    return Out;
+  };
   auto requireString = [&](const char *Key, std::string &Value) {
     const Json *V = Params.find(Key);
     if (!V || !V->isString())
       return false;
     Value = V->asString();
     return true;
+  };
+  // Optional parameters take their default only when absent: one that
+  // is present with the wrong type is `invalid_params`, so a default
+  // never runs in place of what the client asked for.
+  auto readBackend = [&](Backend &Engine) {
+    const Json *V = Params.find("backend");
+    if (!V) {
+      Engine = Backend::Tree;
+      return true;
+    }
+    return V->isString() && parseBackend(V->asString(), Engine);
   };
 
   if (M == "version") {
@@ -142,47 +157,40 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
   }
 
   if (M == "check" || M == "run" || M == "dump-bytecode") {
+    for (const char *Key : {"source", "path", "name"})
+      if (const Json *V = Params.find(Key); V && !V->isString())
+        return invalidParams(std::string("`") + Key + "` must be a string");
     std::string Source, Path;
     bool HasSource = requireString("source", Source);
     bool HasPath = requireString("path", Path);
-    if (HasSource == HasPath) { // Neither or both.
-      Out.Line = errorReply(Id, "invalid_params",
-                            "`" + M + "` needs exactly one of `source` or "
-                                      "`path`")
-                     .write();
-      return Out;
-    }
+    if (HasSource == HasPath) // Neither or both.
+      return invalidParams("`" + M + "` needs exactly one of `source` or "
+                                     "`path`");
     std::string Name = Params.stringOr("name", HasPath ? Path : "<" + M + ">");
     if (M == "check") {
       Out.Line = okReply(Id, resultOf(S.check(Source, Name, Path))).write();
       return Out;
     }
     if (M == "dump-bytecode") {
-      if (HasPath) {
-        Out.Line = errorReply(Id, "invalid_params",
-                              "`dump-bytecode` takes `source` only")
-                       .write();
-        return Out;
-      }
+      if (HasPath)
+        return invalidParams("`dump-bytecode` takes `source` only");
       Out.Line = okReply(Id, resultOf(S.dumpBytecode(Source, Name))).write();
       return Out;
     }
     // run
     Backend Engine;
-    if (!parseBackend(Params.stringOr("backend", "tree"), Engine)) {
-      Out.Line = errorReply(Id, "invalid_params",
-                            "`backend` must be one of: " + backendNameList())
-                     .write();
-      return Out;
+    if (!readBackend(Engine))
+      return invalidParams("`backend` must be one of: " + backendNameList());
+    // An integral number from 0 to 2 (`2.0` is 2).  It is compared as a
+    // double, so no out-of-range number is ever converted to an integer.
+    int OptLevel = 0;
+    if (const Json *V = Params.find("optimize")) {
+      double D = V->isNumber() ? V->asDouble() : -1;
+      if (D != 0 && D != 1 && D != 2)
+        return invalidParams("`optimize` must be 0, 1, or 2");
+      OptLevel = static_cast<int>(D);
     }
-    int64_t OptLevel = Params.intOr("optimize", 0);
-    if (OptLevel < 0 || OptLevel > 2) {
-      Out.Line = errorReply(Id, "invalid_params",
-                            "`optimize` must be 0, 1, or 2")
-                     .write();
-      return Out;
-    }
-    Outcome O = S.run(Source, Name, Engine, static_cast<int>(OptLevel), Path);
+    Outcome O = S.run(Source, Name, Engine, OptLevel, Path);
     Out.Line = O.BackendUnavailable
                    ? backendUnavailableReply(Id, Engine, O).write()
                    : okReply(Id, resultOf(O)).write();
@@ -191,31 +199,19 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
 
   if (M == "type") {
     std::string Expr;
-    if (!requireString("expr", Expr)) {
-      Out.Line = errorReply(Id, "invalid_params",
-                            "`type` needs a string `expr` parameter")
-                     .write();
-      return Out;
-    }
+    if (!requireString("expr", Expr))
+      return invalidParams("`type` needs a string `expr` parameter");
     Out.Line = okReply(Id, resultOf(S.typeOf(Expr))).write();
     return Out;
   }
 
   if (M == "eval") {
     std::string Input;
-    if (!requireString("input", Input)) {
-      Out.Line = errorReply(Id, "invalid_params",
-                            "`eval` needs a string `input` parameter")
-                     .write();
-      return Out;
-    }
+    if (!requireString("input", Input))
+      return invalidParams("`eval` needs a string `input` parameter");
     Backend Engine;
-    if (!parseBackend(Params.stringOr("backend", "tree"), Engine)) {
-      Out.Line = errorReply(Id, "invalid_params",
-                            "`backend` must be one of: " + backendNameList())
-                     .write();
-      return Out;
-    }
+    if (!readBackend(Engine))
+      return invalidParams("`backend` must be one of: " + backendNameList());
     Outcome O = S.eval(Input, Engine);
     Out.Line = O.BackendUnavailable
                    ? backendUnavailableReply(Id, Engine, O).write()
@@ -225,12 +221,8 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
 
   if (M == "load") {
     std::string Path;
-    if (!requireString("path", Path)) {
-      Out.Line = errorReply(Id, "invalid_params",
-                            "`load` needs a string `path` parameter")
-                     .write();
-      return Out;
-    }
+    if (!requireString("path", Path))
+      return invalidParams("`load` needs a string `path` parameter");
     Out.Line = okReply(Id, resultOf(S.load(Path))).write();
     return Out;
   }
@@ -250,8 +242,9 @@ Protocol::Reply Protocol::handleLine(const std::string &Line) {
       Counters.set(Name, Json::number(static_cast<int64_t>(Value)));
     // Live-heap gauges, not monotonic counters: the interpreter value and
     // environment-node populations right now.  A healthy daemon returns
-    // to the same figures after every `reset` (the interned constant
-    // pools are part of the baseline); ServerTest pins that invariant.
+    // to the same figures after every `reset`; ServerTest pins that
+    // invariant.  Interned immediates (pooled ints, booleans, nil) are
+    // immortal and never counted, so they are not in the figures.
     Counters.set("server.arena.live_values",
                  Json::number(sf::liveValueGauge().load(
                      std::memory_order_relaxed)));

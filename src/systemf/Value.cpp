@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "systemf/Value.h"
-#include <array>
+#include <mutex>
 #include <utility>
 
 using namespace fg;
@@ -32,38 +32,55 @@ std::atomic<int64_t> &fg::sf::liveEnvNodeGauge() {
 
 namespace {
 
-// Ints in [-kIntPoolMin, kIntPoolMax] are shared singletons.  The range
+// Ints in [IntPoolMin, IntPoolMax] are shared singletons.  The range
 // covers loop counters, list contents, and every benchmark result the
 // repo pins; anything outside allocates as before.
 constexpr int64_t IntPoolMin = -4096;
 constexpr int64_t IntPoolMax = 4096;
 
-struct IntPool {
-  std::array<ValuePtr, IntPoolMax - IntPoolMin + 1> P;
-  IntPool() {
-    for (int64_t I = IntPoolMin; I <= IntPoolMax; ++I)
-      P[I - IntPoolMin] = std::make_shared<IntValue>(I);
-  }
-};
+// One slot per pooled int, null until that int is first boxed.  Zero-
+// initialized storage costs a fresh process nothing: no allocation, no
+// load-time relocation, and a page is touched only when one of its
+// ints is used.  Slots are filled under the mutex, so no two threads
+// ever build the same int and there is never a losing copy to destroy.
+std::atomic<const IntValue *> IntSlots[IntPoolMax - IntPoolMin + 1];
+std::mutex IntSlotsFill;
+
+/// A non-owning ValuePtr to an immortal object: the aliasing
+/// constructor with an empty owner, so copies touch no refcount.
+template <typename T> std::shared_ptr<const T> immortal(const T *P) {
+  return std::shared_ptr<const T>(std::shared_ptr<const T>(), P);
+}
 
 } // namespace
 
 ValuePtr fg::sf::boxInt(int64_t V) {
-  static const IntPool Pool;
-  if (V >= IntPoolMin && V <= IntPoolMax)
-    return Pool.P[V - IntPoolMin];
-  return std::make_shared<IntValue>(V);
+  if (V < IntPoolMin || V > IntPoolMax)
+    return std::make_shared<IntValue>(V);
+  std::atomic<const IntValue *> &Slot = IntSlots[V - IntPoolMin];
+  const IntValue *P = Slot.load();
+  if (!P) {
+    std::lock_guard<std::mutex> Lock(IntSlotsFill);
+    P = Slot.load();
+    if (!P) {
+      P = new IntValue(V, Value::Interned{});
+      Slot.store(P);
+    }
+  }
+  return immortal<Value>(P);
 }
 
 ValuePtr fg::sf::boxBool(bool B) {
-  static const ValuePtr True = std::make_shared<BoolValue>(true);
-  static const ValuePtr False = std::make_shared<BoolValue>(false);
+  static const ValuePtr True =
+      immortal<Value>(new BoolValue(true, Value::Interned{}));
+  static const ValuePtr False =
+      immortal<Value>(new BoolValue(false, Value::Interned{}));
   return B ? True : False;
 }
 
 const std::shared_ptr<const ListValue> &fg::sf::nilList() {
   static const std::shared_ptr<const ListValue> Nil =
-      std::make_shared<ListValue>();
+      immortal(new ListValue(Value::Interned{}));
   return Nil;
 }
 

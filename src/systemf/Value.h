@@ -37,8 +37,9 @@ using ValuePtr = std::shared_ptr<const Value>;
 /// nodes).  Maintained with relaxed atomics in the constructors and
 /// destructors below, and surfaced by fgcd as `server.arena.*` so
 /// long-lived daemon sessions can prove that reset returns them to
-/// baseline.  Interned constants (small ints, booleans, nil) are part
-/// of the baseline: they are allocated once and never die.
+/// baseline.  Interned immediates (pooled ints, booleans, nil) are
+/// never counted: they are immortal, so the gauges hold only values a
+/// program can free.
 std::atomic<int64_t> &liveValueGauge();
 std::atomic<int64_t> &liveEnvNodeGauge();
 
@@ -120,6 +121,10 @@ struct EvalResult {
 /// Base class of runtime values.  Values are immutable and shared.
 class Value {
 public:
+  /// Constructor tag of the interned immediates (boxInt, boxBool,
+  /// nilList): immortal objects that the gauges never count.
+  struct Interned {};
+
   ValueKind getKind() const { return Kind; }
 
   Value(const Value &) = delete;
@@ -130,6 +135,7 @@ protected:
   explicit Value(ValueKind K) : Kind(K) {
     liveValueGauge().fetch_add(1, std::memory_order_relaxed);
   }
+  Value(ValueKind K, Interned) : Kind(K) {}
 
 private:
   ValueKind Kind;
@@ -138,6 +144,7 @@ private:
 class IntValue : public Value {
 public:
   explicit IntValue(int64_t V) : Value(ValueKind::Int), Val(V) {}
+  IntValue(int64_t V, Interned) : Value(ValueKind::Int, Interned{}), Val(V) {}
   int64_t getValue() const { return Val; }
 
   static bool classof(const Value *V) { return V->getKind() == ValueKind::Int; }
@@ -149,6 +156,7 @@ private:
 class BoolValue : public Value {
 public:
   explicit BoolValue(bool V) : Value(ValueKind::Bool), Val(V) {}
+  BoolValue(bool V, Interned) : Value(ValueKind::Bool, Interned{}), Val(V) {}
   bool getValue() const { return Val; }
 
   static bool classof(const Value *V) {
@@ -184,8 +192,8 @@ private:
 /// real runtime would provide.
 class ListValue : public Value {
 public:
-  /// Creates nil.
-  ListValue() : Value(ValueKind::List) {}
+  /// Creates nil; nilList() holds the only one.
+  explicit ListValue(Interned) : Value(ValueKind::List, Interned{}) {}
   /// Creates a cons cell.
   ListValue(ValuePtr Head, std::shared_ptr<const ListValue> Tail)
       : Value(ValueKind::List), Head(std::move(Head)), Tail(std::move(Tail)) {}
@@ -290,11 +298,12 @@ private:
   ImplFn Impl;
 };
 
-/// Tagged-immediate discipline for the shared_ptr world: ints in a
-/// small pooled range, the two booleans, and nil are interned — every
-/// engine that boxes one of these gets a shared singleton instead of an
-/// allocation.  The pool is allocated once and lives forever, so it is
-/// part of the `server.arena.*` baseline.
+/// Tagged-immediate discipline for the shared_ptr world: ints in
+/// [-4096, 4096], the two booleans, and nil are interned.  Each is an
+/// immortal object, created the first time it is boxed, and handed out
+/// as a non-owning ValuePtr (an empty control block), so boxing or
+/// copying one is a pointer copy, not a refcount bump, and the
+/// `server.arena.*` gauges never count it.  Other ints allocate.
 ValuePtr boxInt(int64_t V);
 ValuePtr boxBool(bool B);
 /// The canonical empty list.

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace fg::sf;
@@ -37,13 +38,58 @@ int64_t liveEnvNodes() {
   return liveEnvNodeGauge().load(std::memory_order_relaxed);
 }
 
-/// The interned pools (small ints, booleans, nil) are built lazily and
-/// live forever; force them into existence so baseline gauge readings
-/// do not shift when a test is first to touch one.
-void warmInternPools() {
-  (void)boxInt(0);
-  (void)boxBool(true);
-  (void)nilList();
+//===----------------------------------------------------------------------===//
+// Interned immediates
+//===----------------------------------------------------------------------===//
+
+// First in the file, so the pooled ints are not yet boxed when it runs:
+// the threads race to create each one.
+TEST(MemoryTest, EightThreadsBoxingThePoolShareOneUncountedObjectPerValue) {
+  constexpr int64_t Min = -4096, Max = 4096;
+  constexpr int Threads = 8;
+  const int64_t Before = liveValues();
+  std::vector<std::vector<const Value *>> Seen(Threads);
+  std::atomic<int> Ready{0};
+  std::vector<std::thread> Workers;
+  for (int T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      std::vector<const Value *> &Mine = Seen[T];
+      ++Ready;
+      while (Ready.load() != Threads)
+        std::this_thread::yield();
+      for (int64_t I = Min; I <= Max; ++I)
+        Mine.push_back(boxInt(I).get());
+      Mine.push_back(boxBool(false).get());
+      Mine.push_back(boxBool(true).get());
+      Mine.push_back(nilList().get());
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (int T = 1; T != Threads; ++T)
+    ASSERT_EQ(Seen[T], Seen[0]) << "thread " << T;
+  for (int64_t I = Min; I <= Max; ++I)
+    ASSERT_EQ(fg::cast<IntValue>(Seen[0][I - Min])->getValue(), I);
+  EXPECT_FALSE(fg::cast<BoolValue>(Seen[0][Max - Min + 1])->getValue());
+  EXPECT_TRUE(fg::cast<BoolValue>(Seen[0][Max - Min + 2])->getValue());
+  EXPECT_TRUE(fg::cast<ListValue>(Seen[0][Max - Min + 3])->isNil());
+  // Immortal and uncounted: boxing the whole pool moved no gauge, and a
+  // boxed immediate owns no refcount to bump.
+  EXPECT_EQ(liveValues(), Before);
+  EXPECT_EQ(boxInt(Max).use_count(), 0);
+  EXPECT_EQ(boxBool(true).use_count(), 0);
+  EXPECT_EQ(nilList().use_count(), 0);
+}
+
+TEST(MemoryTest, IntsOutsideThePoolAreCountedUntilFreed) {
+  const int64_t Before = liveValues();
+  {
+    ValuePtr Above = boxInt(4097);
+    ValuePtr Below = boxInt(-4097);
+    EXPECT_EQ(liveValues(), Before + 2);
+    EXPECT_NE(boxInt(4097).get(), Above.get());
+    EXPECT_EQ(fg::cast<IntValue>(Below.get())->getValue(), -4097);
+  }
+  EXPECT_EQ(liveValues(), Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -51,7 +97,6 @@ void warmInternPools() {
 //===----------------------------------------------------------------------===//
 
 TEST(MemoryTest, MillionElementListSpineDestructsIteratively) {
-  warmInternPools();
   const int64_t Before = liveValues();
   {
     std::shared_ptr<const ListValue> L = nilList();
@@ -64,7 +109,6 @@ TEST(MemoryTest, MillionElementListSpineDestructsIteratively) {
 }
 
 TEST(MemoryTest, MillionNodeEnvironmentChainDestructsIteratively) {
-  warmInternPools();
   const int64_t Before = liveEnvNodes();
   {
     EnvPtr E;
@@ -79,7 +123,6 @@ TEST(MemoryTest, SharedTailsSurviveHeadDestruction) {
   // Hand-over-hand stealing must stop at the first cell someone else
   // still holds: dropping the head of a shared spine releases exactly
   // the unshared prefix.
-  warmInternPools();
   const int64_t Before = liveValues();
   std::shared_ptr<const ListValue> Mid;
   {
@@ -107,7 +150,6 @@ TEST(MemoryTest, SharedTailsSurviveHeadDestruction) {
 
 TEST(MemoryTest, DeepTupleNestRendersComparesAndDestructsIteratively) {
   constexpr int Depth = 200'000;
-  warmInternPools();
   const int64_t Before = liveValues();
   {
     auto Mk = [] {
@@ -136,7 +178,6 @@ TEST(MemoryTest, AlternatingListTupleNestDestructsIteratively) {
   // tuple whose element is a list whose head is a tuple ... unwinds in
   // O(1) native stack per level.
   constexpr int Depth = 150'000;
-  warmInternPools();
   const int64_t Before = liveValues();
   {
     ValuePtr V = boxInt(0);
@@ -176,7 +217,6 @@ TEST(MemoryTest, MillionElementListBuildAndDropOnEveryBackend) {
         if ieq(k, 0) then acc else go(isub(k, 1), mid(100, acc))) in
     car[int](top(100, nil[int]))
   )";
-  warmInternPools();
   const int64_t BeforeValues = liveValues();
   const int64_t BeforeEnvNodes = liveEnvNodes();
   EXPECT_EQ(fgtest::runDifferential(Src), "1");

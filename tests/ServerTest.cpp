@@ -58,6 +58,11 @@ TEST(JsonTest, ScalarsRoundTrip) {
   EXPECT_EQ(parseOk("42").asInt(), 42);
   EXPECT_EQ(parseOk("-7").asInt(), -7);
   EXPECT_DOUBLE_EQ(parseOk("2.5").asDouble(), 2.5);
+  // A double outside int64's range saturates rather than overflowing
+  // the conversion.
+  EXPECT_EQ(parseOk("-2.5").asInt(), -2);
+  EXPECT_EQ(parseOk("1e300").asInt(), INT64_MAX);
+  EXPECT_EQ(parseOk("-1e300").asInt(), INT64_MIN);
   EXPECT_EQ(parseOk("\"hi\"").asString(), "hi");
   EXPECT_EQ(Json::number(int64_t(42)).write(), "42");
   EXPECT_EQ(Json::string("hi").write(), "\"hi\"");
@@ -534,6 +539,74 @@ TEST(ProtocolTest, ErrorCodes) {
   EXPECT_EQ(R[3].find("id")->asInt(), 2);
 }
 
+TEST(ProtocolTest, IllTypedParamsAreInvalidAndTheSessionLives) {
+  // A parameter present with the wrong type is `invalid_params` naming
+  // it, never its default: `"optimize": "2"` used to run at -O0, `1.5`
+  // at -O1, and `"backend": 3` on the tree walker.  After each
+  // rejection the session still answers the next request.
+  struct Case {
+    const char *Method, *Params, *Named;
+  };
+  const Case Cases[] = {
+      {"run", R"j("source":"iadd(1,2)","optimize":"2")j", "`optimize`"},
+      {"run", R"j("source":"iadd(1,2)","optimize":true)j", "`optimize`"},
+      {"run", R"j("source":"iadd(1,2)","optimize":1.5)j", "`optimize`"},
+      {"run", R"j("source":"iadd(1,2)","optimize":1e300)j", "`optimize`"},
+      {"run", R"j("source":"iadd(1,2)","optimize":-1)j", "`optimize`"},
+      {"run", R"j("source":"iadd(1,2)","optimize":null)j", "`optimize`"},
+      {"run", R"j("source":"iadd(1,2)","backend":3)j", "`backend`"},
+      {"run", R"j("source":"iadd(1,2)","backend":true)j", "`backend`"},
+      {"run", R"j("source":"iadd(1,2)","backend":["vm"])j", "`backend`"},
+      {"eval", R"j("input":"iadd(1,2)","backend":3)j", "`backend`"},
+      {"eval", R"j("input":"iadd(1,2)","backend":true)j", "`backend`"},
+      {"eval", R"j("input":"iadd(1,2)","backend":["vm"])j", "`backend`"},
+      {"run", R"j("source":3,"path":"x.fg")j", "`source`"},
+      {"check", R"j("path":true,"source":"1")j", "`path`"},
+      {"check", R"j("source":"1","name":3)j", "`name`"},
+  };
+  std::vector<std::string> Lines;
+  for (const Case &C : Cases) {
+    Lines.push_back(std::string(R"({"id":1,"method":")") + C.Method +
+                    R"(","params":{)" + C.Params + "}}");
+    Lines.push_back(
+        R"j({"id":2,"method":"run","params":{"source":"iadd(1,2)"}})j");
+  }
+  std::vector<Json> R = roundTrip(Lines);
+  ASSERT_EQ(R.size(), Lines.size());
+  for (size_t I = 0; I != std::size(Cases); ++I) {
+    const Json &Bad = R[2 * I];
+    EXPECT_EQ(errorCode(Bad), "invalid_params") << Lines[2 * I];
+    const Json *Error = Bad.find("error");
+    ASSERT_NE(Error, nullptr) << Bad.write();
+    EXPECT_NE(Error->find("message")->asString().find(Cases[I].Named),
+              std::string::npos)
+        << Bad.write();
+    EXPECT_EQ(resultOf(R[2 * I + 1]).find("value")->asString(), "3")
+        << "after " << Lines[2 * I];
+  }
+}
+
+TEST(ProtocolTest, OptimizeTwoPointZeroIsLevelTwo) {
+  // `optimize` is a JSON number, and `2.0` is the number 2: it runs the
+  // specialized term, and shares its cache entry with `2`.
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  Protocol P(S);
+  auto run = [&](const char *Level) {
+    std::string Line = R"({"id":1,"method":"run","params":{"source":")" +
+                       jsonEscape(AccumulateSource) + R"(","optimize":)" +
+                       Level + "}}";
+    return parseOk(P.handleLine(Line).Line);
+  };
+  Moved A = counterSnapshot();
+  Json Double = run("2.0");
+  Moved B = counterSnapshot();
+  EXPECT_EQ(resultOf(Double).find("value")->asString(), "3");
+  EXPECT_NE(B.Specialize - A.Specialize, 0u) << "2.0 runs at -O2";
+  Json Int = run("2");
+  EXPECT_TRUE(resultOf(Int).find("cached")->asBool()) << Int.write();
+}
+
 TEST(ProtocolTest, MethodNamesNeverReachTheStatsRegistry) {
   // A method name is client-chosen text: one with a quote or a newline
   // must not turn the registry's JSON dump (`fgcd --stats-json`) into
@@ -652,9 +725,9 @@ TEST(ProtocolTest, ResetCyclesReturnArenaGaugesToBaseline) {
   // preceded by an allocation-heavy request (out-of-pool ints, list
   // spines, closures over environment nodes), must return the
   // `server.arena.*` live-heap gauges to exactly their post-first-cycle
-  // baseline.  The first cycle pays the one-time costs (interned
-  // constant pools, lazy singletons); after that, any drift means a
-  // stranded value or environment spine.
+  // baseline.  The first cycle pays the one-time costs (lazy
+  // singletons); after that, any drift means a stranded value or
+  // environment spine.
   auto Cache = std::make_shared<ArtifactCache>();
   Session S(Cache);
   Protocol P(S);
