@@ -147,10 +147,9 @@ std::string resolveCacheDir(const ToolchainOptions &Opts) {
   return envOr("FGC_AOT_CACHE", ".fgc.aot-cache");
 }
 
-std::string resolveFlags(const ToolchainOptions &Opts) {
+std::string resolveFlags() {
   std::string Flags = "-std=c++17 -O2 -pthread";
-  std::string Extra =
-      !Opts.ExtraCxxFlags.empty() ? Opts.ExtraCxxFlags : envOr("FGC_AOT_CXXFLAGS", "");
+  std::string Extra = envOr("FGC_AOT_CXXFLAGS", "");
   if (!Extra.empty())
     Flags += " " + Extra;
   return Flags;
@@ -223,7 +222,7 @@ CompiledProgram fg::aot::compileProgram(const std::string &Cpp,
     Out.Error = "aot: " + WhyNot;
     return Out;
   }
-  std::string Flags = resolveFlags(Opts);
+  std::string Flags = resolveFlags();
   std::string Dir = resolveCacheDir(Opts);
   if (!makeDirs(Dir)) {
     Out.Error = "aot: cannot create build cache dir `" + Dir + "`";

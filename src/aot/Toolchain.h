@@ -47,10 +47,9 @@ namespace aot {
 /// Where and how to compile.  Default-constructed options use the
 /// environment-driven discovery ladder and the default cache dir.
 struct ToolchainOptions {
-  std::string Cxx;           ///< Explicit compiler (--aot-cxx=); "" = auto.
-  std::string CacheDir;      ///< Build cache dir (--aot-cache=); "" = auto.
-  std::string ExtraCxxFlags; ///< Appended flags; "" = $FGC_AOT_CXXFLAGS.
-  bool KeepCpp = false;      ///< Keep the generated .cpp next to the binary.
+  std::string Cxx;      ///< Explicit compiler (--aot-cxx=); "" = auto.
+  std::string CacheDir; ///< Build cache dir (--aot-cache=); "" = auto.
+  bool KeepCpp = false; ///< Keep the generated .cpp next to the binary.
 };
 
 /// The compiler the ladder resolves to, or "" with a one-line

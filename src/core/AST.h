@@ -610,8 +610,6 @@ public:
     return add(new UseModelTerm(std::move(ModelName), Body, Loc));
   }
 
-  unsigned getNumTerms() const { return Owned.size(); }
-
 private:
   const Term *add(Term *T) {
     Owned.emplace_back(T);

@@ -131,16 +131,12 @@ public:
   /// active, or on a closed type.
   const sf::Type *sfTypeOf(const Type *T, SourceLocation Loc);
 
-  /// Read-only access to the congruence closure (tests and tools).
-  Congruence &getCongruence() { return CC; }
-
   /// Toggles the memoized model-resolution cache (and the congruence
   /// query cache beneath it).  On by default.  Must be semantics-
   /// neutral: cache-on and cache-off runs produce identical diagnostics
   /// and translations — ModelCacheTest enforces this over the whole
   /// example corpus.
   void setModelCacheEnabled(bool On);
-  bool isModelCacheEnabled() const { return ModelCacheEnabled; }
 
   /// Disables the rule-CPT side condition that a concept id must not
   /// occur in its body's result type.  A module's export probe *means*

@@ -266,14 +266,6 @@ const Type *Congruence::getRepresentative(const Type *T) {
   return ClassRep[UF.find(N)];
 }
 
-unsigned Congruence::getNumClasses() const {
-  unsigned Count = 0;
-  for (unsigned I = 0, E = Nodes.size(); I != E; ++I)
-    if (UF.find(I) == I)
-      ++Count;
-  return Count;
-}
-
 void Congruence::rollback(const Mark &M) {
   assert(Pending.empty() && "rollback with merges still pending");
   // Undoing a merge changes equality answers, so the knowledge stamp

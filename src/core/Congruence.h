@@ -90,9 +90,6 @@ public:
   /// Undoes every assertion and node creation since \p M.
   void rollback(const Mark &M);
 
-  unsigned getNumNodes() const { return Nodes.size(); }
-  unsigned getNumClasses() const;
-
 private:
   struct Node {
     const Type *Ty;

@@ -303,8 +303,6 @@ public:
   void collectConceptIds(const Type *T,
                          std::unordered_set<unsigned> &Out) const;
 
-  unsigned getNumInternedTypes() const { return Uniq.size(); }
-
 private:
   const Type *intern(Type *Candidate);
 

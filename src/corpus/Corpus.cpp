@@ -18,6 +18,13 @@ using namespace fg::corpus;
 
 namespace {
 
+/// The layered shape's fixed knobs.  Both also salt the PRNG, so
+/// changing either changes every corpus.
+constexpr unsigned MaxImports = 4; ///< Direct imports per module, at most.
+/// Percentage of import edges that reach past the previous layer,
+/// joining otherwise-parallel chains into diamonds.
+constexpr unsigned DiamondPct = 35;
+
 /// splitmix64: tiny, fast, and — unlike <random>'s distributions —
 /// specified exactly, so the corpus is byte-identical everywhere.
 struct Rng {
@@ -227,8 +234,6 @@ const char *corpus::shapeName(Shape S) {
 
 std::vector<GeneratedModule> corpus::generate(const CorpusOptions &Opts) {
   const unsigned N = std::max(1u, Opts.Modules);
-  const unsigned MaxImports = std::max(1u, Opts.MaxImports);
-  const unsigned DiamondPct = std::min(100u, Opts.DiamondPct);
   unsigned Width = std::max<size_t>(4, std::to_string(N - 1).size());
 
   // Fold every shaping knob into the stream so distinct options
@@ -241,12 +246,8 @@ std::vector<GeneratedModule> corpus::generate(const CorpusOptions &Opts) {
   std::vector<unsigned> LayerStart; // first module index of each layer
   if (Opts.GraphShape == Shape::Layered && N > 1) {
     unsigned Body = N - 1; // last module is the root
-    unsigned Layers = Opts.Layers != 0
-                          ? Opts.Layers
-                          : std::max(2u, unsigned(std::min<uint64_t>(
-                                             64, uint64_t(1) +
-                                                     uint64_t(Body) / 16)));
-    Layers = std::min(Layers, Body);
+    // One layer per 16 modules, 2 to 64 of them.
+    unsigned Layers = std::min(Body, std::clamp(1 + Body / 16, 2u, 64u));
     for (unsigned L = 0; L < Layers; ++L)
       LayerStart.push_back(L * Body / Layers);
     LayerStart.push_back(Body);

@@ -62,15 +62,9 @@ const char *shapeName(Shape S);
 struct CorpusOptions {
   /// Number of modules to generate (>= 1).
   unsigned Modules = 100;
-  /// PRNG seed; the sole source of variation besides the other knobs.
+  /// PRNG seed; the sole source of variation besides the module count
+  /// and the shape.
   uint64_t Seed = 42;
-  /// Layer count for Shape::Layered; 0 picks a proportionate default.
-  unsigned Layers = 0;
-  /// Maximum direct imports per module (Layered only; >= 1).
-  unsigned MaxImports = 4;
-  /// Percentage (0-100) of import edges that reach past the
-  /// immediately preceding layer, creating diamonds (Layered only).
-  unsigned DiamondPct = 35;
   Shape GraphShape = Shape::Layered;
 };
 

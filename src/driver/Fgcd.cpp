@@ -6,27 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persistent compiler daemon and interactive REPL:
-///
-///   fgcd --socket PATH [options]   serve the JSON protocol on a Unix
-///                                  socket (docs/PROTOCOL.md)
-///   fgcd --stdio [options]         serve one protocol session over
-///                                  stdin/stdout
-///   fgcd --repl [options]          interactive REPL (docs/REPL.md)
-///
-/// One of the three modes is required.  The daemon keeps typechecker
-/// artifacts warm across requests in a shared content-hash cache, so a
-/// fleet of editors or CI jobs re-checking mostly-unchanged programs
-/// pays the compile cost once.
+/// The fgcd compiler daemon and REPL: serves the JSON protocol
+/// (docs/PROTOCOL.md) on a Unix socket or over stdin/stdout, or runs the
+/// interactive REPL (docs/REPL.md); `fgcd --help` lists the options.
+/// Typechecker artifacts stay warm across requests in a shared
+/// content-hash cache, so clients re-checking mostly-unchanged programs
+/// pay the compile cost once.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/CommandLine.h"
 #include "server/Repl.h"
 #include "server/Server.h"
 #include "support/Backends.h"
+#include "support/DeepStack.h"
 #include "support/Stats.h"
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -68,7 +63,11 @@ void printUsage(std::ostream &OS) {
         "  --help, -h             print this help\n";
 }
 
-int usageError() {
+/// Prints \p Message, if any, and the usage text to stderr; returns the
+/// exit code of a bad invocation.
+int usageError(const std::string &Message = "") {
+  if (!Message.empty())
+    std::cerr << "fgcd: error: " << Message << "\n";
   printUsage(std::cerr);
   return 2;
 }
@@ -83,62 +82,34 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> SearchPaths;
   stats::StatsReporter Reporter("fgcd");
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--socket" || Arg.rfind("--socket=", 0) == 0) {
-      std::string Value = Arg == "--socket"
-                              ? (I + 1 < Argc ? Argv[++I] : "")
-                              : Arg.substr(std::string("--socket=").size());
-      if (Value.empty()) {
-        std::cerr << "fgcd: error: --socket requires a path\n";
-        return usageError();
-      }
+  driver::ArgReader Args(Argc, Argv);
+  std::string Value;
+  while (Args.next()) {
+    const std::string &Arg = Args.arg();
+    if (Args.value("--socket", Value)) {
+      if (Value.empty())
+        return usageError("--socket requires a path");
       SocketPath = Value;
     } else if (Arg == "--stdio")
       Stdio = true;
     else if (Arg == "--repl")
       Repl = true;
-    else if (Arg == "--threads" || Arg.rfind("--threads=", 0) == 0) {
-      std::string Value = Arg == "--threads"
-                              ? (I + 1 < Argc ? Argv[++I] : "")
-                              : Arg.substr(std::string("--threads=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0') {
-        std::cerr << "fgcd: error: --threads requires a number\n";
-        return usageError();
-      }
-      Threads = static_cast<unsigned>(N);
-    } else if (Arg == "--cache-entries" ||
-               Arg.rfind("--cache-entries=", 0) == 0) {
-      std::string Value =
-          Arg == "--cache-entries"
-              ? (I + 1 < Argc ? Argv[++I] : "")
-              : Arg.substr(std::string("--cache-entries=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N == 0) {
-        std::cerr << "fgcd: error: --cache-entries requires a positive "
-                     "number\n";
-        return usageError();
-      }
-      CacheEntries = static_cast<size_t>(N);
-    } else if (Arg == "-I" || Arg.rfind("-I", 0) == 0) {
-      std::string Value = Arg == "-I" ? (I + 1 < Argc ? Argv[++I] : "")
-                                      : Arg.substr(2);
-      if (Value.empty()) {
-        std::cerr << "fgcd: error: -I requires a directory\n";
-        return usageError();
-      }
+    else if (Args.value("--threads", Value)) {
+      if (!driver::parseNumber(Value, Threads))
+        return usageError("--threads requires a number");
+    } else if (Args.value("--cache-entries", Value)) {
+      if (!driver::parseNumber(Value, CacheEntries, 1))
+        return usageError("--cache-entries requires a positive number");
+    } else if (Args.value("-I", Value)) {
+      if (Value.empty())
+        return usageError("-I requires a directory");
       SearchPaths.push_back(Value);
     } else if (Arg == "--stats")
       Reporter.Human = true;
-    else if (Arg.rfind("--stats-json=", 0) == 0) {
-      Reporter.JsonPath = Arg.substr(std::string("--stats-json=").size());
-      if (Reporter.JsonPath.empty()) {
-        std::cerr << "fgcd: error: --stats-json= requires a file name\n";
-        return usageError();
-      }
+    else if (Args.value("--stats-json", Value, /*Spaced=*/false)) {
+      if (Value.empty())
+        return usageError("--stats-json= requires a file name");
+      Reporter.JsonPath = Value;
     } else if (Arg == "--help" || Arg == "-h") {
       printUsage(std::cout);
       return 0;
@@ -161,12 +132,16 @@ int main(int Argc, char **Argv) {
   if (Stdio || Repl) {
     auto Cache = std::make_shared<server::ArtifactCache>(CacheEntries);
     server::Session S(Cache, SO);
-    if (Repl) {
-      server::ReplOptions RO;
-      return server::runRepl(S, std::cin, std::cout, RO);
-    }
-    server::serveStream(S, std::cin, std::cout);
-    return 0;
+    // Requests compile on this thread, so it gets the deep stack the
+    // socket mode's workers have.
+    int Ret = 0;
+    runOnDeepStack([&] {
+      if (Repl)
+        Ret = server::runRepl(S, std::cin, std::cout);
+      else
+        server::serveStream(S, std::cin, std::cout);
+    });
+    return Ret;
   }
 
   server::ServerOptions Opts;

@@ -6,109 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Command-line driver:
-///
-///   fgc [options] file.fg            compile and run an F_G program
-///   fgc [options] -                  read the program from stdin
-///   fgc --batch [options] paths...   separately check a module graph
-///
-/// A single file that declares `module`/`import` is automatically
-/// compiled through the module loader: its imports are resolved, the
-/// modules are linked into one program, and the usual pipeline runs on
-/// the result.  `--batch` instead checks every module separately
-/// against its dependencies' serialized `.fgi` interfaces, scheduling
-/// independent modules across a thread pool; a directory argument means
-/// every `.fg` file in it.
-///
-/// Options:
-///   --check        stop after typechecking; print the F_G type
-///   --translate    print the System F translation and its type
-///   --ast          print the parsed F_G program
-///   --no-verify    skip re-checking the translation in System F
-///                  (alias for --validate=off)
-///   --validate[=<off|translate|passes>]
-///                  dynamic verification level: `translate` re-checks
-///                  the translation in System F and compares its type
-///                  against the F_G type's image (Theorems 1 and 2);
-///                  `passes` additionally re-typechecks every
-///                  optimizer pass's output, attributing a failure to
-///                  the pass by name.  Bare `--validate` means
-///                  `passes`.  Defaults to `translate` in debug
-///                  builds and `off` in release builds.
-///   --fuzz <n>     generate <n> seeded well-typed programs and drive
-///                  the full validation surface with them (no input
-///                  file is read; see validate/Fuzz.h)
-///   --seed <n>     base seed for --fuzz / --gen-corpus (default 42)
-///   --direct       evaluate with the direct F_G interpreter instead of
-///                  the System F translation (and cross-check the two)
-///   --optimize, -O1
-///                  run the optimized translation (dictionary
-///                  elimination), print it with the optimizer's
-///                  counts, and cross-check its value against the
-///                  unoptimized translation on the tree walker
-///   --specialize[=off|apps|dicts|full]
-///                  whole-program specialization level on top of the
-///                  baseline passes (systemf/Specialize.h); `-O2` is
-///                  shorthand for `--optimize --specialize=full`
-///   --backend=<tree|vm|aot>
-///                  execution engine for the translation: the
-///                  tree-walking evaluator (default), the bytecode VM,
-///                  or the ahead-of-time C++ transpiler (aot/Aot.h).
-///                  The engine runs the term the optimization level
-///                  selects, whatever the engine (fg::execute).  The
-///                  registry of names lives in support/Backends.h.
-///   --aot-cxx=<path>
-///                  host C++ compiler for --backend=aot (overrides
-///                  the $FGC_AOT_CXX/$CXX/PATH discovery ladder)
-///   --aot-cache=<dir>
-///                  AOT build cache directory (default
-///                  ./.fgc.aot-cache, or $FGC_AOT_CACHE)
-///   --aot-keep-cpp keep the generated C++ in the cache dir and print
-///                  its path
-///   --dump-bytecode
-///                  print the VM bytecode for the term the optimization
-///                  level selects (vm/Disasm.h) and continue
-///   --no-superinstructions
-///                  disable the VM's peephole superinstruction fusion
-///                  for the whole process (for A/B comparison; values,
-///                  errors, and abort points must be identical)
-///   --batch        separately check modules; write `.fgi` interfaces
-///   --gen-corpus <n>
-///                  generate a seeded, deterministic corpus of <n>
-///                  well-typed modules into --out (corpus/Corpus.h);
-///                  same seed and knobs => byte-identical files
-///   --out <dir>    output directory for --gen-corpus
-///   --corpus-shape=<layered|chain|fanin>
-///                  dependency-graph silhouette (default layered)
-///   --corpus-layers=<n>
-///                  layer count for the layered shape (0 = auto)
-///   --corpus-max-imports=<n>
-///                  max direct imports per module (layered shape)
-///   --corpus-diamond=<pct>
-///                  share of import edges reaching past the previous
-///                  layer, which is what creates diamonds
-///   -j <n>         batch worker threads (0 = all hardware threads)
-///   -I <dir>       add a module search path (repeatable)
-///   --module-cache=<dir>
-///                  write/read `.fgi` interfaces in <dir> instead of
-///                  next to each source file
-///   --no-cache     ignore existing `.fgi` files; recheck everything
-///   --stats        print compiler statistics (phase timings, counter
-///                  values, cache hit rates) to stderr on exit
-///   --stats-json=<file>
-///                  also write the statistics as JSON to <file>
-///                  (`-` for stdout)
-///   --no-model-cache
-///                  disable the checker's model-resolution and
-///                  congruence-query caches (for A/B comparison; the
-///                  result must be identical either way)
+/// The fgc command-line tool: compiles and runs one F_G program (a file,
+/// or `-` for stdin), batch-checks a module graph (`--batch`), fuzzes
+/// the validators (`--fuzz`) or generates a module corpus
+/// (`--gen-corpus`); `fgc --help` lists the options.  A single file that
+/// declares `module`/`import` is compiled through the module loader: its
+/// imports are resolved and linked into one program, which then runs
+/// through the usual pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/CommandLine.h"
 #include "corpus/Corpus.h"
 #include "modules/Batch.h"
 #include "modules/Loader.h"
 #include "support/Backends.h"
+#include "support/DeepStack.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
 #include "validate/Fuzz.h"
@@ -116,11 +29,6 @@
 #include "vm/Disasm.h"
 #include "vm/Emit.h"
 #include <algorithm>
-#include <cstdio>
-#if defined(__unix__) || defined(__APPLE__)
-#include <pthread.h>
-#endif
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -140,30 +48,24 @@ void printUsage(std::ostream &OS) {
         "  --check                stop after typechecking\n"
         "  --translate            print the System F translation\n"
         "  --ast                  print the parsed program\n"
-        "  --no-verify            skip System F re-checking\n"
-        "  --validate[=<mode>]    `off`, `translate` (re-check the\n"
+        "  --validate=<mode>      `off`, `translate` (re-check the\n"
         "                         translation; Theorems 1/2), or `passes`\n"
         "                         (also re-typecheck each optimizer pass);\n"
-        "                         bare --validate means `passes`; default\n"
-        "                         is `translate` in debug builds, `off` in\n"
-        "                         release builds\n"
+        "                         default is `translate` in debug builds,\n"
+        "                         `off` in release builds\n"
         "  --fuzz <n>             validate <n> generated well-typed\n"
         "                         programs across all backends\n"
         "  --seed <n>             base seed for --fuzz / --gen-corpus\n"
         "                         (default 42)\n"
         "  --direct               cross-check with the direct interpreter\n"
-        "  --optimize, -O1        run the optimized translation and\n"
+        "  -O1                    run the optimized translation and\n"
         "                         cross-check it against the unoptimized\n"
         "                         one on the tree walker\n"
-        "  --specialize[=<lvl>]   whole-program specialization level on\n"
-        "                         top of -O1: `off`, `apps` (clone\n"
-        "                         polymorphic functions at concrete\n"
-        "                         types), `dicts` (also devirtualize\n"
-        "                         concept members), `full` (also drop\n"
-        "                         dead dictionary params/fields); bare\n"
-        "                         --specialize means `full`\n"
-        "  -O2                    shorthand for --optimize\n"
-        "                         --specialize=full\n"
+        "  -O2                    -O1 plus whole-program specialization:\n"
+        "                         polymorphic functions cloned at concrete\n"
+        "                         types, concept members devirtualized,\n"
+        "                         dead dictionary params/fields dropped;\n"
+        "                         the last -O on the line wins\n"
         "  --backend=<name>       execution engine; it runs the term the\n"
         "                         optimization level selects; one of:\n"
      << backendHelpTable("                           ")
@@ -181,22 +83,19 @@ void printUsage(std::ostream &OS) {
         "  --out <dir>            output directory for --gen-corpus\n"
         "  --corpus-shape=<s>     corpus graph shape: layered (default),\n"
         "                         chain, or fanin\n"
-        "  --corpus-layers=<n>    layered-shape layer count (0 = auto)\n"
-        "  --corpus-max-imports=<n>\n"
-        "                         max direct imports per corpus module\n"
-        "  --corpus-diamond=<p>   percent of corpus import edges that\n"
-        "                         skip layers (diamond density)\n"
         "  -j <n>                 batch worker threads (0 = all cores)\n"
         "  -I <dir>               add a module search path\n"
         "  --module-cache=<dir>   directory for .fgi interface files\n"
-        "  --no-cache             ignore existing .fgi files\n"
         "  --stats                print statistics to stderr on exit\n"
         "  --stats-json=<file>    write statistics as JSON (- for stdout)\n"
-        "  --no-model-cache       disable checker memoization\n"
         "  --help, -h             print this help\n";
 }
 
-int usageError() {
+/// Prints \p Message, if any, and the usage text to stderr; returns the
+/// exit code of a bad invocation.
+int usageError(const std::string &Message = "") {
+  if (!Message.empty())
+    std::cerr << "fgc: error: " << Message << "\n";
   printUsage(std::cerr);
   return 2;
 }
@@ -228,8 +127,7 @@ bool expandBatchPaths(const std::vector<std::string> &Args,
 
 int runBatchMode(const std::vector<std::string> &PathArgs,
                  const std::vector<std::string> &SearchPaths, unsigned Jobs,
-                 const std::string &CacheDir, bool UseCache,
-                 const CompileOptions &Opts) {
+                 const std::string &CacheDir, const CompileOptions &Opts) {
   std::vector<std::string> Files;
   if (!expandBatchPaths(PathArgs, Files))
     return 1;
@@ -260,9 +158,7 @@ int runBatchMode(const std::vector<std::string> &PathArgs,
   modules::BatchOptions BO;
   BO.Jobs = Jobs;
   BO.CacheDir = CacheDir;
-  BO.UseCache = UseCache;
   BO.Verify = Opts.VerifyTranslation;
-  BO.EnableModelCache = Opts.EnableModelCache;
   modules::BatchResult BR = modules::runBatch(Loader, Roots, BO);
 
   // Aggregate deterministically: runBatch already returns results in
@@ -335,8 +231,7 @@ int runGenCorpus(const corpus::CorpusOptions &Opts,
 
 int fgcMain(int Argc, char **Argv) {
   bool CheckOnly = false, PrintTranslation = false, PrintAst = false;
-  bool Direct = false, Batch = false, UseCache = true;
-  bool DumpBytecode = false;
+  bool Direct = false, Batch = false, DumpBytecode = false;
   // Unset is -O0; -O1 is `Off`, -O2 is `Full` (ExecRequest::Level).
   std::optional<sf::SpecializeLevel> Level;
   Backend Engine = Backend::Tree;
@@ -360,8 +255,10 @@ int fgcMain(int Argc, char **Argv) {
   CompileOptions Opts;
   stats::StatsReporter Reporter("fgc");
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
+  driver::ArgReader Args(Argc, Argv);
+  std::string Value;
+  while (Args.next()) {
+    const std::string &Arg = Args.arg();
     if (Arg == "--check")
       CheckOnly = true;
     else if (Arg == "--translate")
@@ -370,178 +267,66 @@ int fgcMain(int Argc, char **Argv) {
       PrintAst = true;
     else if (Arg == "--direct")
       Direct = true;
-    else if (Arg == "--optimize" || Arg == "-O1") {
-      if (!Level)
-        Level = sf::SpecializeLevel::Off;
-    } else if (Arg == "-O2" || Arg == "--specialize")
+    else if (Arg == "-O1")
+      Level = sf::SpecializeLevel::Off;
+    else if (Arg == "-O2")
       Level = sf::SpecializeLevel::Full;
-    else if (Arg.rfind("--specialize=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--specialize=").size());
-      sf::SpecializeLevel L;
-      if (!sf::parseSpecializeLevel(Value, L)) {
-        std::cerr << "fgc: error: --specialize must be one of off, apps, "
-                     "dicts, full\n";
-        return usageError();
-      }
-      // `--specialize=off` alone stays at -O0; after -O1/-O2 it means -O1.
-      if (Level || L != sf::SpecializeLevel::Off)
-        Level = L;
-    } else if (Arg == "--batch")
+    else if (Arg == "--batch")
       Batch = true;
-    else if (Arg == "--no-cache")
-      UseCache = false;
     else if (Arg == "--dump-bytecode")
       DumpBytecode = true;
     else if (Arg == "--no-superinstructions")
       vm::defaultEmitOptions().Superinstructions = false;
-    else if (Arg.rfind("--backend=", 0) == 0) {
-      if (!parseBackend(Arg.substr(std::string("--backend=").size()),
-                        Engine)) {
-        std::cerr << "fgc: error: --backend must be one of "
-                  << backendNameList() << "\n";
-        return usageError();
-      }
-    } else if (Arg.rfind("--aot-cxx=", 0) == 0) {
-      AotToolchain.Cxx = Arg.substr(std::string("--aot-cxx=").size());
-      if (AotToolchain.Cxx.empty()) {
-        std::cerr << "fgc: error: --aot-cxx= requires a compiler path\n";
-        return usageError();
-      }
-    } else if (Arg.rfind("--aot-cache=", 0) == 0) {
-      AotToolchain.CacheDir = Arg.substr(std::string("--aot-cache=").size());
-      if (AotToolchain.CacheDir.empty()) {
-        std::cerr << "fgc: error: --aot-cache= requires a directory\n";
-        return usageError();
-      }
+    else if (Args.value("--backend", Value, /*Spaced=*/false)) {
+      if (!parseBackend(Value, Engine))
+        return usageError("--backend must be one of " + backendNameList());
+    } else if (Args.value("--aot-cxx", Value, /*Spaced=*/false)) {
+      if (Value.empty())
+        return usageError("--aot-cxx= requires a compiler path");
+      AotToolchain.Cxx = Value;
+    } else if (Args.value("--aot-cache", Value, /*Spaced=*/false)) {
+      if (Value.empty())
+        return usageError("--aot-cache= requires a directory");
+      AotToolchain.CacheDir = Value;
     } else if (Arg == "--aot-keep-cpp")
       AotToolchain.KeepCpp = true;
-    else if (Arg == "--no-verify") {
-      VMode = validate::Mode::Off;
+    else if (Args.value("--validate", Value, /*Spaced=*/false)) {
+      if (!validate::parseMode(Value, VMode))
+        return usageError("--validate must be one of off, translate, passes");
       VModeSet = true;
-    } else if (Arg == "--validate") {
-      VMode = validate::Mode::Passes;
-      VModeSet = true;
-    } else if (Arg.rfind("--validate=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--validate=").size());
-      if (!validate::parseMode(Value, VMode)) {
-        std::cerr << "fgc: error: --validate must be one of off, "
-                     "translate, passes\n";
-        return usageError();
-      }
-      VModeSet = true;
-    } else if (Arg == "--fuzz" || Arg.rfind("--fuzz=", 0) == 0) {
-      std::string Value = Arg == "--fuzz"
-                              ? (I + 1 < Argc ? Argv[++I] : "")
-                              : Arg.substr(std::string("--fuzz=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N == 0) {
-        std::cerr << "fgc: error: --fuzz requires a positive number\n";
-        return usageError();
-      }
-      FuzzCount = static_cast<unsigned>(N);
-    } else if (Arg == "--seed" || Arg.rfind("--seed=", 0) == 0) {
-      std::string Value = Arg == "--seed"
-                              ? (I + 1 < Argc ? Argv[++I] : "")
-                              : Arg.substr(std::string("--seed=").size());
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0') {
-        std::cerr << "fgc: error: --seed requires a number\n";
-        return usageError();
-      }
-      FuzzSeed = N;
-    }
-    else if (Arg == "--gen-corpus" || Arg.rfind("--gen-corpus=", 0) == 0) {
-      std::string Value =
-          Arg == "--gen-corpus"
-              ? (I + 1 < Argc ? Argv[++I] : "")
-              : Arg.substr(std::string("--gen-corpus=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N == 0) {
-        std::cerr << "fgc: error: --gen-corpus requires a positive "
-                     "module count\n";
-        return usageError();
-      }
-      GenCorpus = static_cast<unsigned>(N);
-    } else if (Arg == "--out" || Arg.rfind("--out=", 0) == 0) {
-      CorpusOut = Arg == "--out" ? (I + 1 < Argc ? Argv[++I] : "")
-                                 : Arg.substr(std::string("--out=").size());
-      if (CorpusOut.empty()) {
-        std::cerr << "fgc: error: --out requires a directory\n";
-        return usageError();
-      }
-    } else if (Arg.rfind("--corpus-shape=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--corpus-shape=").size());
-      if (!corpus::parseShape(Value, CorpusOpts.GraphShape)) {
-        std::cerr << "fgc: error: --corpus-shape must be one of layered, "
-                     "chain, fanin\n";
-        return usageError();
-      }
-    } else if (Arg.rfind("--corpus-layers=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--corpus-layers=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0') {
-        std::cerr << "fgc: error: --corpus-layers requires a number\n";
-        return usageError();
-      }
-      CorpusOpts.Layers = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--corpus-max-imports=", 0) == 0) {
-      std::string Value =
-          Arg.substr(std::string("--corpus-max-imports=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N == 0) {
-        std::cerr << "fgc: error: --corpus-max-imports requires a "
-                     "positive number\n";
-        return usageError();
-      }
-      CorpusOpts.MaxImports = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--corpus-diamond=", 0) == 0) {
-      std::string Value = Arg.substr(std::string("--corpus-diamond=").size());
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0' || N > 100) {
-        std::cerr << "fgc: error: --corpus-diamond requires a percentage "
-                     "(0-100)\n";
-        return usageError();
-      }
-      CorpusOpts.DiamondPct = static_cast<unsigned>(N);
+    } else if (Args.value("--fuzz", Value)) {
+      if (!driver::parseNumber(Value, FuzzCount, 1))
+        return usageError("--fuzz requires a positive number");
+    } else if (Args.value("--seed", Value)) {
+      if (!driver::parseNumber(Value, FuzzSeed))
+        return usageError("--seed requires a number");
+    } else if (Args.value("--gen-corpus", Value)) {
+      if (!driver::parseNumber(Value, GenCorpus, 1))
+        return usageError("--gen-corpus requires a positive module count");
+    } else if (Args.value("--out", Value)) {
+      if (Value.empty())
+        return usageError("--out requires a directory");
+      CorpusOut = Value;
+    } else if (Args.value("--corpus-shape", Value, /*Spaced=*/false)) {
+      if (!corpus::parseShape(Value, CorpusOpts.GraphShape))
+        return usageError(
+            "--corpus-shape must be one of layered, chain, fanin");
     } else if (Arg == "--stats")
       Reporter.Human = true;
-    else if (Arg.rfind("--stats-json=", 0) == 0) {
-      Reporter.JsonPath = Arg.substr(std::string("--stats-json=").size());
-      if (Reporter.JsonPath.empty()) {
-        std::cerr << "fgc: error: --stats-json= requires a file name\n";
-        return usageError();
-      }
-    } else if (Arg.rfind("--module-cache=", 0) == 0) {
-      CacheDir = Arg.substr(std::string("--module-cache=").size());
-      if (CacheDir.empty()) {
-        std::cerr << "fgc: error: --module-cache= requires a directory\n";
-        return usageError();
-      }
-    } else if (Arg == "--no-model-cache")
-      Opts.EnableModelCache = false;
-    else if (Arg == "-j" || Arg.rfind("-j", 0) == 0) {
-      std::string Value = Arg == "-j" ? (I + 1 < Argc ? Argv[++I] : "")
-                                      : Arg.substr(2);
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || !End || *End != '\0') {
-        std::cerr << "fgc: error: -j requires a number\n";
-        return usageError();
-      }
-      Jobs = static_cast<unsigned>(N);
-    } else if (Arg == "-I" || Arg.rfind("-I", 0) == 0) {
-      std::string Value = Arg == "-I" ? (I + 1 < Argc ? Argv[++I] : "")
-                                      : Arg.substr(2);
-      if (Value.empty()) {
-        std::cerr << "fgc: error: -I requires a directory\n";
-        return usageError();
-      }
+    else if (Args.value("--stats-json", Value, /*Spaced=*/false)) {
+      if (Value.empty())
+        return usageError("--stats-json= requires a file name");
+      Reporter.JsonPath = Value;
+    } else if (Args.value("--module-cache", Value, /*Spaced=*/false)) {
+      if (Value.empty())
+        return usageError("--module-cache= requires a directory");
+      CacheDir = Value;
+    } else if (Args.value("-j", Value)) {
+      if (!driver::parseNumber(Value, Jobs))
+        return usageError("-j requires a number");
+    } else if (Args.value("-I", Value)) {
+      if (Value.empty())
+        return usageError("-I requires a directory");
       SearchPaths.push_back(Value);
     } else if (Arg == "--help" || Arg == "-h") {
       printUsage(std::cout);
@@ -562,10 +347,8 @@ int fgcMain(int Argc, char **Argv) {
   if (GenCorpus != 0) {
     if (!Paths.empty() || Batch || FuzzCount != 0)
       return usageError();
-    if (CorpusOut.empty()) {
-      std::cerr << "fgc: error: --gen-corpus requires --out <dir>\n";
-      return usageError();
-    }
+    if (CorpusOut.empty())
+      return usageError("--gen-corpus requires --out <dir>");
     CorpusOpts.Modules = GenCorpus;
     CorpusOpts.Seed = FuzzSeed;
     return runGenCorpus(CorpusOpts, CorpusOut);
@@ -603,7 +386,7 @@ int fgcMain(int Argc, char **Argv) {
   }
 
   if (Batch)
-    return runBatchMode(Paths, SearchPaths, Jobs, CacheDir, UseCache, Opts);
+    return runBatchMode(Paths, SearchPaths, Jobs, CacheDir, Opts);
 
   const std::string &Path = Paths[0];
   std::string Source;
@@ -665,8 +448,8 @@ int fgcMain(int Argc, char **Argv) {
   // -O1/-O2 optimize once, up front, when a run or --dump-bytecode uses
   // the result, under --validate=passes' per-pass re-typechecking when
   // asked: execute() and --dump-bytecode reuse the term this builds.
-  // --validate=passes alone validates the pipeline at the --specialize
-  // level without running its result.
+  // --validate=passes alone validates the -O1 pipeline (-O2's with -O2)
+  // without running its result.
   sf::OptimizeStats Stats;
   if ((Level && (!CheckOnly || DumpBytecode)) ||
       VMode == validate::Mode::Passes) {
@@ -732,8 +515,7 @@ int fgcMain(int Argc, char **Argv) {
               << " lets inlined, " << Stats.ProjectionsFolded
               << " projections folded)\n";
     if (*Level != sf::SpecializeLevel::Off) {
-      std::cout << "  (specialize " << sf::specializeLevelName(*Level)
-                << ": " << Stats.ClonesCreated << " clones, "
+      std::cout << "  (specialize full: " << Stats.ClonesCreated << " clones, "
                 << Stats.SpecCacheHits << " cache hits, "
                 << Stats.MembersDevirtualized << " members devirtualized, "
                 << Stats.DictParamsEliminated << " params + "
@@ -771,36 +553,7 @@ int fgcMain(int Argc, char **Argv) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-#if defined(__unix__) || defined(__APPLE__)
-  // Corpus-scale inputs recurse proportionally to program depth: a
-  // 10k-module import chain links into a let spine tens of thousands
-  // of levels deep, and the parser, checker, translator and
-  // tree-walking evaluator all walk it recursively.  The default 8 MiB
-  // main-thread stack overflows around that scale, so the driver runs
-  // on a thread with a deep (lazily committed) stack instead.
-  pthread_attr_t Attr;
-  if (pthread_attr_init(&Attr) == 0) {
-    struct Args {
-      int Argc;
-      char **Argv;
-      int Ret;
-    } A{Argc, Argv, 1};
-    pthread_t Tid;
-    if (pthread_attr_setstacksize(&Attr, size_t(512) << 20) == 0 &&
-        pthread_create(
-            &Tid, &Attr,
-            [](void *P) -> void * {
-              Args *A = static_cast<Args *>(P);
-              A->Ret = fgcMain(A->Argc, A->Argv);
-              return nullptr;
-            },
-            &A) == 0) {
-      pthread_join(Tid, nullptr);
-      pthread_attr_destroy(&Attr);
-      return A.Ret;
-    }
-    pthread_attr_destroy(&Attr);
-  }
-#endif
-  return fgcMain(Argc, Argv);
+  int Ret = 1;
+  runOnDeepStack([&] { Ret = fgcMain(Argc, Argv); });
+  return Ret;
 }

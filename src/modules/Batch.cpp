@@ -7,10 +7,10 @@
 
 #include "modules/Batch.h"
 #include "modules/Interface.h"
+#include "support/DeepStack.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <filesystem>
@@ -86,7 +86,7 @@ void buildModule(const ModuleLoader &Loader, const ModuleUnit &U,
   uint64_t Expected = interfaceHash(U.Source, DirectDeps);
 
   std::string CachePath = cacheFileFor(U, Opts);
-  if (Opts.UseCache) {
+  {
     // One parse validates the stored hash, gives the stored deps for
     // attribution, and on a hit is what dependents instantiate.  A file
     // that does not parse is a plain miss.
@@ -165,7 +165,6 @@ void buildModule(const ModuleLoader &Loader, const ModuleUnit &U,
   const Term *Probe = buildExportProbe(FE.getFgArena(), Ast, ExportNames);
   CompileOptions CO;
   CO.VerifyTranslation = Opts.Verify;
-  CO.EnableModelCache = Opts.EnableModelCache;
   CO.ImportTypes = &Env.ImportTypes;
   CO.AllowConceptEscape = true;
   CompileOutput CompileOut = FE.compileTerm(Probe, CO);
@@ -192,8 +191,7 @@ void buildModule(const ModuleLoader &Loader, const ModuleUnit &U,
     R.Error = "internal error: serialized interface does not parse: " + Err;
     return;
   }
-  if (Opts.UseCache)
-    publish(CachePath, Out.Iface.Text);
+  publish(CachePath, Out.Iface.Text);
   S.add("modules.compiled");
   Out.Ok = true;
   R.Success = true;
@@ -261,12 +259,7 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
       if (DepsOk) {
         Product Out;
         Lock.unlock();
-        auto T0 = std::chrono::steady_clock::now();
         buildModule(Loader, U, Products, Opts, R, Out);
-        R.Seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          T0)
-                .count();
         Lock.lock();
         Products[U.Id] = std::move(Out);
       }
@@ -287,11 +280,12 @@ BatchResult fg::modules::runBatch(const ModuleLoader &Loader,
     Jobs = static_cast<unsigned>(Order.size());
   if (Jobs == 0)
     Jobs = 1;
-  std::vector<std::thread> Pool;
+  // Checking a module recurses as deep as its body is nested.
+  std::vector<DeepStackThread> Pool;
   for (unsigned I = 1; I < Jobs; ++I)
     Pool.emplace_back(worker);
   worker();
-  for (std::thread &T : Pool)
+  for (DeepStackThread &T : Pool)
     T.join();
 
   Result.MaxWavefront = MaxWave;

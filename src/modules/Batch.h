@@ -48,12 +48,8 @@ struct BatchOptions {
   unsigned Jobs = 1;
   /// Directory for `.fgi` files; empty writes next to each source.
   std::string CacheDir;
-  /// Reuse on-disk interfaces whose recorded hash still matches.
-  bool UseCache = true;
   /// Verify each module's translation with the System F checker.
   bool Verify = true;
-  /// Forwarded to CompileOptions::EnableModelCache.
-  bool EnableModelCache = true;
 };
 
 struct ModuleBuildResult {
@@ -64,7 +60,6 @@ struct ModuleBuildResult {
   /// True when the module was not attempted because an import failed.
   bool Skipped = false;
   std::string Error;
-  double Seconds = 0.0;
 };
 
 struct BatchResult {

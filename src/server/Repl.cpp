@@ -94,14 +94,11 @@ void printOutcome(std::ostream &Out, const Outcome &O) {
 
 } // namespace
 
-int fg::server::runRepl(Session &S, std::istream &In, std::ostream &Out,
-                        const ReplOptions &Opts) {
-  if (Opts.Interactive)
-    Out << Banner;
+int fg::server::runRepl(Session &S, std::istream &In, std::ostream &Out) {
+  Out << Banner;
   std::string Line;
   while (true) {
-    if (Opts.Interactive)
-      Out << "fg> " << std::flush;
+    Out << "fg> " << std::flush;
     if (!std::getline(In, Line))
       break;
     // Trim surrounding whitespace; blank lines are prompts only.
@@ -173,7 +170,6 @@ int fg::server::runRepl(Session &S, std::istream &In, std::ostream &Out,
       Out << "unknown command " << Cmd << " (:help for commands)\n";
     }
   }
-  if (Opts.Interactive)
-    Out << "\n";
+  Out << "\n";
   return 0;
 }

@@ -30,13 +30,9 @@
 namespace fg {
 namespace server {
 
-struct ReplOptions {
-  bool Interactive = true; ///< Print the banner and `fg> ` prompts.
-};
-
-/// Runs the REPL until `:quit` or EOF.  Returns the process exit code.
-int runRepl(Session &S, std::istream &In, std::ostream &Out,
-            const ReplOptions &Opts);
+/// Runs the REPL until `:quit` or EOF, printing a banner and an `fg> `
+/// prompt before each line.  Returns the process exit code.
+int runRepl(Session &S, std::istream &In, std::ostream &Out);
 
 } // namespace server
 } // namespace fg

@@ -193,9 +193,8 @@ void Server::stop() {
   // tests, destructor) — workers signal via requestStop() and exit on
   // their own, so joining here cannot deadlock or self-join.
   requestStop();
-  for (std::thread &T : Workers)
-    if (T.joinable())
-      T.join();
+  for (DeepStackThread &T : Workers)
+    T.join();
   Workers.clear();
   if (Acceptor.joinable())
     Acceptor.join();

@@ -39,6 +39,7 @@
 #define FG_SERVER_SERVER_H
 
 #include "server/Session.h"
+#include "support/DeepStack.h"
 #include <condition_variable>
 #include <deque>
 #include <iosfwd>
@@ -95,7 +96,7 @@ private:
   ServerOptions Opts;
   std::shared_ptr<ArtifactCache> Cache;
   int ListenFd = -1;
-  std::vector<std::thread> Workers;
+  std::vector<DeepStackThread> Workers;
   std::thread Acceptor;
   std::mutex Mu;
   std::condition_variable QueueCv;   ///< Pending-connection arrivals.

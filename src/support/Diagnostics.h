@@ -48,8 +48,6 @@ public:
   DiagnosticEngine() = default;
   explicit DiagnosticEngine(const SourceManager *SM) : SM(SM) {}
 
-  void setSourceManager(const SourceManager *M) { SM = M; }
-
   /// Reports an error at \p Loc.
   void error(SourceLocation Loc, std::string Message);
 

@@ -96,17 +96,19 @@ constexpr PassDesc Pipeline[] = {
     {"eliminate-dead-dicts", PassDeadDicts},
 };
 
-/// The pass set a specialization level enables (levels are cumulative).
+/// The pass set a specialization level enables.
 unsigned enabledMask(SpecializeLevel L) {
   unsigned M = PassInstantiate | PassBetaInline | PassInlineLets | PassFold;
-  if (L >= SpecializeLevel::Apps)
-    M |= PassSpecTyApps;
-  if (L >= SpecializeLevel::Dicts)
-    M |= PassDevirt;
-  if (L >= SpecializeLevel::Full)
-    M |= PassDeadDicts;
+  if (L == SpecializeLevel::Full)
+    M |= PassSpecTyApps | PassDevirt | PassDeadDicts;
   return M;
 }
+
+/// Pipeline iterations before giving up on a fixpoint.
+constexpr unsigned MaxIterations = 10;
+/// Inlining stops once the term outgrows this multiple of its original
+/// size (guards against code-size blowup from dictionary duplication).
+constexpr size_t MaxGrowthFactor = 64;
 
 /// The specializer.  All rewriting preserves sharing: a transform
 /// returns the original node when nothing changed underneath it.
@@ -119,9 +121,9 @@ public:
 
   const Term *run(const Term *T) {
     Stats.NodesBefore = countTermNodes(T);
-    Budget = std::max<size_t>(4096, Stats.NodesBefore * Opts.MaxGrowthFactor);
+    Budget = std::max<size_t>(4096, Stats.NodesBefore * MaxGrowthFactor);
     const unsigned Enabled = enabledMask(Opts.Specialize);
-    for (unsigned I = 0; I < Opts.MaxIterations; ++I) {
+    for (unsigned I = 0; I < MaxIterations; ++I) {
       const Term *IterStart = T;
       for (const PassDesc &P : Pipeline) {
         if (!(P.Mask & Enabled))

@@ -46,16 +46,8 @@ namespace sf {
 
 /// Knobs for the specializer.
 struct OptimizeOptions {
-  /// Pass-pipeline iterations before giving up on a fixpoint.
-  unsigned MaxIterations = 10;
-  /// Abort inlining when the term grows beyond this multiple of its
-  /// original size (guards against code-size blowup from dictionary
-  /// duplication).
-  size_t MaxGrowthFactor = 64;
-
-  /// How much of the -O2 specialization pipeline (Specialize.h) to run
-  /// on top of the baseline passes.  Off reproduces the -O1 pipeline
-  /// exactly.
+  /// Whether the -O2 specialization passes (Specialize.h) run on top of
+  /// the baseline passes.  Off is the -O1 pipeline.
   SpecializeLevel Specialize = SpecializeLevel::Off;
   /// Per-application cap on the summed structural size of type
   /// arguments accepted by specialize-tyapps.  Nested instantiation

@@ -19,35 +19,6 @@
 using namespace fg;
 using namespace fg::sf;
 
-bool fg::sf::parseSpecializeLevel(const std::string &Text,
-                                  SpecializeLevel &Level) {
-  if (Text == "off")
-    Level = SpecializeLevel::Off;
-  else if (Text == "apps")
-    Level = SpecializeLevel::Apps;
-  else if (Text == "dicts")
-    Level = SpecializeLevel::Dicts;
-  else if (Text == "full")
-    Level = SpecializeLevel::Full;
-  else
-    return false;
-  return true;
-}
-
-const char *fg::sf::specializeLevelName(SpecializeLevel Level) {
-  switch (Level) {
-  case SpecializeLevel::Off:
-    return "off";
-  case SpecializeLevel::Apps:
-    return "apps";
-  case SpecializeLevel::Dicts:
-    return "dicts";
-  case SpecializeLevel::Full:
-    return "full";
-  }
-  return "off";
-}
-
 namespace {
 
 /// The structural size of a type, for the per-application blow-up

@@ -41,21 +41,12 @@
 namespace fg {
 namespace sf {
 
-/// How much of the specialization pipeline runs.  Levels are cumulative:
-/// each one enables everything below it.
+/// Whether the specialization passes run.
 enum class SpecializeLevel {
-  Off,   ///< Baseline pipeline only (-O1).
-  Apps,  ///< + specialize-tyapps.
-  Dicts, ///< + devirtualize-dicts.
-  Full,  ///< + eliminate-dead-dicts (-O2).
+  Off,  ///< Baseline pipeline only (-O1).
+  Full, ///< + specialize-tyapps, devirtualize-dicts and
+        ///< eliminate-dead-dicts (-O2).
 };
-
-/// Parses "off" / "apps" / "dicts" / "full".  Returns false on anything
-/// else, leaving \p Level untouched.
-bool parseSpecializeLevel(const std::string &Text, SpecializeLevel &Level);
-
-/// The flag spelling of \p Level ("off", "apps", "dicts", "full").
-const char *specializeLevelName(SpecializeLevel Level);
 
 /// Counters the specialization passes maintain; the pipeline copies
 /// them into OptimizeStats after a run.

@@ -300,8 +300,6 @@ public:
   }
   const Term *makeFix(const Term *Operand) { return add(new FixTerm(Operand)); }
 
-  unsigned getNumTerms() const { return Owned.size(); }
-
 private:
   const Term *add(Term *T) {
     Owned.emplace_back(T);

@@ -226,8 +226,6 @@ public:
   void collectFreeParams(const Type *T,
                          std::unordered_set<unsigned> &Out) const;
 
-  unsigned getNumInternedTypes() const { return Uniq.size(); }
-
 private:
   const Type *intern(Type *Candidate);
 

@@ -56,7 +56,7 @@ private:
 };
 
 /// Checks System F terms.  On failure records a message retrievable via
-/// getErrors() and returns null.
+/// firstError() and returns null.
 class TypeChecker {
 public:
   explicit TypeChecker(TypeContext &Ctx) : Ctx(Ctx) {}
@@ -65,7 +65,6 @@ public:
   /// Returns the type, or null after recording at least one error.
   const Type *check(const Term *T, const TypeEnv &Env);
 
-  const std::vector<std::string> &getErrors() const { return Errors; }
   std::string firstError() const { return Errors.empty() ? "" : Errors[0]; }
 
 private:

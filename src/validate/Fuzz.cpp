@@ -318,8 +318,7 @@ std::string checkOne(const std::string &Source, unsigned Index,
     ExecResult R = execute(FE, Out, Req);
     std::string Name = backendName(B);
     if (Level)
-      Name += std::string(" at --specialize=") +
-              sf::specializeLevelName(*Level);
+      Name += *Level == sf::SpecializeLevel::Full ? " at -O2" : " at -O1";
     Results.push_back(
         {Name, R.ok(), R.ok() ? sf::valueToString(R.Val) : R.Error});
   };

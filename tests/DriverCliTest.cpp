@@ -9,21 +9,25 @@
 // (its path arrives via the FG_FGC_PATH compile definition):
 //
 //   * `--help` / `-h` print the usage text to *stdout* and exit 0;
-//   * a bad invocation (no input, unknown flag, malformed option)
-//     prints the usage text to *stderr* and exits 2;
+//   * a bad invocation (no input, unknown or retired flag, malformed
+//     option, a number that does not fit) prints the usage text to
+//     *stderr* and exits 2;
 //   * both binaries' `--help` backend tables are generated from the
 //     one registry (support/Backends.h), so registering an engine
 //     without surfacing it in the help is a test failure;
 //   * `--backend=aot` without a usable host compiler degrades
 //     gracefully: exit 2 with a one-line actionable diagnostic;
 //   * every backend runs the term the optimization level selects, as
-//     the `--stats-json` counters of each (backend, -O) cell prove.
+//     the `--stats-json` counters of each (backend, -O) cell prove, and
+//     the last -O on the command line is the level;
+//   * batch workers check modules nested past the default thread stack.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aot/Toolchain.h"
 #include "support/Backends.h"
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -100,6 +104,41 @@ TEST(DriverCliTest, MultipleFilesWithoutBatchIsUsageError) {
 TEST(DriverCliTest, MalformedJobsFlagIsUsageError) {
   RunResult R = runFgc("--batch -j nope a.fg");
   EXPECT_EQ(R.ExitCode, 2);
+}
+
+// Spellings fgc does not accept: the -O aliases and settings no caller
+// used.
+const char *const RetiredSpellings[] = {
+    "--optimize",        "--specialize",      "--specialize=off",
+    "--specialize=apps", "--specialize=dicts", "--specialize=full",
+    "--no-verify",       "--validate",        "--no-cache",
+    "--no-model-cache",  "--corpus-layers=3", "--corpus-max-imports=2",
+    "--corpus-diamond=5",
+};
+
+TEST(DriverCliTest, RetiredSpellingsAreUsageErrors) {
+  const std::string Program =
+      std::string(FG_EXAMPLES_DIR) + "/figure1_square.fg";
+  for (const char *Flag : RetiredSpellings) {
+    RunResult R = runFgc(std::string(Flag) + " " + Program);
+    EXPECT_EQ(R.ExitCode, 2) << Flag;
+    EXPECT_NE(R.Stderr.find("usage: fgc"), std::string::npos) << Flag;
+    EXPECT_TRUE(R.Stdout.empty()) << Flag << ": " << R.Stdout;
+  }
+}
+
+TEST(DriverCliTest, HelpNamesNoRetiredSpelling) {
+  RunResult R = runFgc("--help");
+  ASSERT_EQ(R.ExitCode, 0);
+  for (const char *Flag : RetiredSpellings) {
+    // `--validate=<mode>` survives; the bare `--validate` does not.
+    std::string Name(Flag, std::strcspn(Flag, "="));
+    for (size_t At = R.Stdout.find(Name); At != std::string::npos;
+         At = R.Stdout.find(Name, At + 1))
+      EXPECT_TRUE(Name == "--validate" &&
+                  R.Stdout.compare(At, 11, "--validate=") == 0)
+          << "--help still names " << Name;
+  }
 }
 
 TEST(DriverCliTest, StdinProgramStillWorks) {
@@ -203,6 +242,23 @@ TEST(DriverCliTest, TreeAndVmRunTheTermTheLevelSelects) {
   EXPECT_EQ(VmInstructions[0], 87) << "the translation as is";
   EXPECT_EQ(VmInstructions[2], 63) << "the -O2-specialized term";
   EXPECT_LT(VmInstructions[1], VmInstructions[0]) << "the -O1 term";
+}
+
+TEST(DriverCliTest, LastOptimizationLevelWins) {
+  auto Instructions = [](const std::string &Levels) {
+    RunResult R = runFgc(Levels + " --backend=vm --stats-json=- " + Figure5);
+    EXPECT_EQ(R.ExitCode, 0) << Levels << "\n" << R.Stderr;
+    EXPECT_NE(R.Stdout.find("value: 3\n"), std::string::npos) << Levels;
+    bool Specialized = R.Stdout.find("\"specialize.") != std::string::npos;
+    return std::make_pair(statCounter(R.Stdout, "vm.instructions"),
+                          Specialized);
+  };
+  auto O1 = Instructions("-O1"), O2 = Instructions("-O2");
+  ASSERT_NE(O1.first, O2.first) << "the cells below could not tell apart";
+  EXPECT_EQ(O2, std::make_pair(63LL, true));
+  EXPECT_FALSE(O1.second);
+  EXPECT_EQ(Instructions("-O2 -O1"), O1);
+  EXPECT_EQ(Instructions("-O1 -O2"), O2);
 }
 
 TEST(DriverCliTest, CheckOnlyOptimizesOnlyForTheBytecodeDump) {
@@ -323,6 +379,50 @@ TEST(DriverCliTest, BatchFailureSummaryIsDeterministicAndExitsNonzero) {
   EXPECT_EQ(R2.ExitCode, 1);
   EXPECT_EQ(R1.Stderr, R2.Stderr);
   EXPECT_EQ(R1.Stdout, R2.Stdout);
+}
+
+// A number that does not fit its setting is the flag's usage error,
+// never a truncated value (-j 4294967297 is not -j 1).  Nothing runs,
+// so the module cache is never created.
+TEST(DriverCliTest, NumbersThatDoNotFitAreUsageErrors) {
+  ScratchDir Dir("fgc_cli_big_jobs");
+  std::ofstream(Dir.P / "one.fg") << "module one;\n1\n";
+  fs::path Cache = Dir.P / "cache";
+  RunResult R = runFgc("--batch -j 4294967297 --module-cache=" +
+                       Cache.string() + " " + Dir.str());
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_NE(R.Stderr.find("fgc: error: -j requires a number\nusage: fgc"),
+            std::string::npos)
+      << R.Stderr;
+  EXPECT_TRUE(R.Stdout.empty()) << R.Stdout;
+  EXPECT_FALSE(fs::exists(Cache));
+  const std::string Overflowing[] = {
+      "--fuzz 4294967297", "--gen-corpus=4294967297 --out " + Cache.string(),
+      "--seed 18446744073709551616 --fuzz 1"};
+  for (const std::string &Args : Overflowing)
+    EXPECT_EQ(runFgc(Args).ExitCode, 2) << Args;
+  EXPECT_FALSE(fs::exists(Cache));
+}
+
+/// \p Depth parentheses around `1`: the parser recurses once per level.
+std::string nested(int Depth) {
+  return std::string(Depth, '(') + "1" + std::string(Depth, ')');
+}
+
+// Every batch worker, not only the first, runs on a deep stack: with
+// -j 2 the two modules are checked on two threads.
+TEST(DriverCliTest, BatchWorkersCheckDeeplyNestedModules) {
+  ScratchDir Dir("fgc_cli_batch_deep"), Cache("fgc_cli_batch_deep_cache");
+  for (const char *Name : {"a", "b"})
+    std::ofstream(Dir.P / (std::string(Name) + ".fg"))
+        << "module " << Name << ";\nlet x = " << nested(20000) << " in x\n";
+  RunResult R = runFgc("--batch -j 2 --module-cache=" + Cache.str() + " " +
+                       Dir.str());
+  EXPECT_EQ(R.ExitCode, 0) << R.Stderr;
+  EXPECT_NE(R.Stdout.find("module a: checked\nmodule b: checked\n"
+                          "batch: 2 modules, 2 checked, 0 cached\n"),
+            std::string::npos)
+      << R.Stdout;
 }
 
 // A literal outside the 64-bit range is a lexer diagnostic, not an

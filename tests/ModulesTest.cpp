@@ -94,10 +94,10 @@ protected:
 
   static BatchResult batch(const ModuleLoader &Loader,
                            const std::vector<std::string> &Roots,
-                           unsigned Jobs = 1, bool UseCache = true) {
+                           unsigned Jobs = 1, const fs::path &CacheDir = {}) {
     BatchOptions BO;
     BO.Jobs = Jobs;
-    BO.UseCache = UseCache;
+    BO.CacheDir = CacheDir.string();
     return runBatch(Loader, Roots, BO);
   }
 };
@@ -296,14 +296,18 @@ TEST_F(ModulesTest, BatchParallelMatchesSerial) {
   ModuleLoader Loader;
   std::string Root, Error;
   ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
-  BatchResult Serial = batch(Loader, {Root}, 1, /*UseCache=*/false);
-  BatchResult Parallel = batch(Loader, {Root}, 4, /*UseCache=*/false);
+  // Each run gets an empty interface cache, so both check every module.
+  fs::create_directories(Dir / "serial");
+  fs::create_directories(Dir / "parallel");
+  BatchResult Serial = batch(Loader, {Root}, 1, Dir / "serial");
+  BatchResult Parallel = batch(Loader, {Root}, 4, Dir / "parallel");
   ASSERT_TRUE(Serial.Success);
   ASSERT_TRUE(Parallel.Success);
   ASSERT_EQ(Serial.Results.size(), Parallel.Results.size());
   for (size_t I = 0; I != Serial.Results.size(); ++I) {
     EXPECT_EQ(Serial.Results[I].Module, Parallel.Results[I].Module);
     EXPECT_EQ(Serial.Results[I].Success, Parallel.Results[I].Success);
+    EXPECT_FALSE(Parallel.Results[I].CacheHit);
   }
   EXPECT_GE(Parallel.MaxWavefront, 1u);
   EXPECT_LE(Parallel.MaxWavefront, 4u);
@@ -507,23 +511,28 @@ indexedOrder(const ModuleLoader &L, const std::vector<std::string> &Roots) {
 
 /// Asserts that the indexed walks agree with the reference on \p L:
 /// every module's closure, and the union over \p Roots both from
-/// topoOrder and as the order of the batch's results.
+/// topoOrder and as the order of the batch's results.  The batch checks
+/// every module, writing interfaces into the fresh \p CacheDir.
 static void expectReferenceOrders(const ModuleLoader &L,
-                                  const std::vector<std::string> &Roots) {
+                                  const std::vector<std::string> &Roots,
+                                  const fs::path &CacheDir) {
   for (const auto &[Name, U] : L.modules())
     EXPECT_EQ(indexedOrder(L, {Name}), referenceTopoOrder(L, Name)) << Name;
 
   std::vector<std::string> Expected = referenceUnion(L, Roots);
   EXPECT_EQ(indexedOrder(L, Roots), Expected);
 
+  fs::create_directories(CacheDir);
   BatchOptions BO;
   BO.Jobs = 2;
-  BO.UseCache = false;
+  BO.CacheDir = CacheDir.string();
   BatchResult BR = runBatch(L, Roots, BO);
   EXPECT_TRUE(BR.Success);
   std::vector<std::string> Batched;
-  for (const ModuleBuildResult &R : BR.Results)
+  for (const ModuleBuildResult &R : BR.Results) {
+    EXPECT_FALSE(R.CacheHit) << R.Module;
     Batched.push_back(R.Module);
+  }
   EXPECT_EQ(Batched, Expected);
 }
 
@@ -553,9 +562,9 @@ TEST_F(ModulesTest, IndexedWalkMatchesNameWalkOnFglib) {
   std::vector<std::string> Roots;
   for (const auto &[Name, U] : Loader.modules())
     Roots.push_back(Name);
-  expectReferenceOrders(Loader, Roots);
+  expectReferenceOrders(Loader, Roots, Dir / "forward");
   std::reverse(Roots.begin(), Roots.end());
-  expectReferenceOrders(Loader, Roots);
+  expectReferenceOrders(Loader, Roots, Dir / "reversed");
   EXPECT_EQ(linkedValue(Loader, Root), "(31, 36, 7, 24, true)");
 }
 
@@ -587,9 +596,9 @@ TEST_F(ModulesTest, IndexedWalkMatchesNameWalkOnLayeredCorpus) {
     Diamonds += Reached + 1 > referenceTopoOrder(Loader, Name).size();
   }
   EXPECT_GT(Diamonds, 50u);
-  expectReferenceOrders(Loader, Roots);
+  expectReferenceOrders(Loader, Roots, Dir / "forward");
   std::reverse(Roots.begin(), Roots.end());
-  expectReferenceOrders(Loader, Roots);
+  expectReferenceOrders(Loader, Roots, Dir / "reversed");
   // Pinned from the name-keyed walk's link of the same corpus.
   EXPECT_EQ(linkedValue(Loader, Mods.back().Name), "7");
 }

@@ -12,7 +12,9 @@
 //     worked generic-programming session from docs/REPL.md must keep
 //     producing exactly the documented output;
 //   * the command-line contract shared with fgc (DriverCliTest):
-//     `--help`/`-h` to stdout exit 0, usage errors to stderr exit 2.
+//     `--help`/`-h` to stdout exit 0, usage errors to stderr exit 2;
+//   * input nested past the default thread stack, answered by
+//     `--stdio` and `--repl` with the session going on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,20 +58,22 @@ RunResult runFgcd(const std::string &Args) {
   return R;
 }
 
+/// Runs `fgcd <Mode>` on \p Input; the result has its stdout only.
+RunResult feedFgcd(const std::string &Mode, const std::string &Input) {
+  std::string Script = std::string("/tmp/fgcd_in_") +
+                       std::to_string(::getpid()) + ".txt";
+  std::ofstream(Script) << Input;
+  RunResult R;
+  R.ExitCode = capture(std::string(FG_FGCD_PATH) + " " + Mode + " < " +
+                           Script + " 2>/dev/null",
+                       R.Stdout);
+  std::remove(Script.c_str());
+  return R;
+}
+
 /// Feeds \p Input to `fgcd --repl` and returns everything it printed.
 std::string repl(const std::string &Input) {
-  std::string Script = std::string("/tmp/fgcd_repl_in_") +
-                       std::to_string(::getpid()) + ".txt";
-  {
-    std::ofstream Out(Script);
-    Out << Input;
-  }
-  std::string Output;
-  capture(std::string(FG_FGCD_PATH) + " --repl < " + Script +
-              " 2>/dev/null",
-          Output);
-  std::remove(Script.c_str());
-  return Output;
+  return feedFgcd("--repl", Input).Stdout;
 }
 
 //===----------------------------------------------------------------------===//
@@ -118,6 +122,47 @@ TEST(FgcdCliTest, BadThreadsValueIsUsageError) {
   EXPECT_NE(R.Stderr.find("--threads requires a number"),
             std::string::npos)
       << R.Stderr;
+}
+
+// 2^32 must not wrap to 0, which would mean all hardware threads.
+TEST(FgcdCliTest, ThreadsThatDoNotFitAreAUsageError) {
+  RunResult R = runFgcd("--stdio --threads 4294967296 < /dev/null");
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_NE(R.Stderr.find("fgcd: error: --threads requires a number\n"
+                          "usage: fgcd"),
+            std::string::npos)
+      << R.Stderr;
+  EXPECT_TRUE(R.Stdout.empty()) << R.Stdout;
+}
+
+//===----------------------------------------------------------------------===//
+// Deeply nested input: answered, and the session goes on
+//===----------------------------------------------------------------------===//
+
+/// 20,000 parentheses around `1`, about 40 KB: the parser recurses once
+/// per level, past what an 8 MiB stack holds.
+const std::string Deep =
+    std::string(20000, '(') + "1" + std::string(20000, ')');
+
+TEST(FgcdDeepTest, StdioAnswersADeepCheckAndTheNextRequest) {
+  RunResult R = feedFgcd("--stdio",
+                         "{\"id\":1,\"method\":\"check\",\"params\":"
+                         "{\"source\":\"" + Deep + "\"}}\n"
+                         "{\"id\":2,\"method\":\"version\"}\n");
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.Stdout.find("{\"id\":1,\"ok\":true,\"result\":"
+                          "{\"success\":true,"),
+            std::string::npos)
+      << R.Stdout;
+  EXPECT_NE(R.Stdout.find("{\"id\":2,\"ok\":true,"), std::string::npos)
+      << R.Stdout;
+}
+
+TEST(FgcdDeepTest, ReplEvaluatesADeepInputAndTheNextLine) {
+  RunResult R = feedFgcd("--repl", Deep + "\niadd(1, 1)\n:quit\n");
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.Stdout.find("fg> 1 : int\nfg> 2 : int\n"), std::string::npos)
+      << R.Stdout;
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,7 +14,8 @@
 //     is the spec these tests pin);
 //   * session isolation: concurrent sessions share artifacts but never
 //     declaration scopes;
-//   * the real Unix-socket daemon under 16 concurrent client threads.
+//   * the real Unix-socket daemon under 16 concurrent client threads,
+//     and on a request nested past the default thread stack.
 //
 //===----------------------------------------------------------------------===//
 
@@ -999,6 +1000,41 @@ TEST(ServerTest, SixteenConcurrentIsolatedSessions) {
   Client C;
   ASSERT_TRUE(C.connect(Srv.socketPath()));
   Json R = C.request("{\"id\":9,\"method\":\"shutdown\"}");
+  EXPECT_TRUE(R.find("ok") && R.find("ok")->asBool()) << R.write();
+  Srv.wait();
+  Srv.stop();
+}
+
+// A check nested past the default thread stack is answered on a worker,
+// and the daemon stays up: the same connection and a new one are served.
+TEST(ServerTest, DeeplyNestedCheckLeavesTheDaemonUp) {
+  ServerOptions Opts;
+  Opts.SocketPath = (std::filesystem::temp_directory_path() /
+                     ("fgcd-deep-" + std::to_string(::getpid()) + ".sock"))
+                        .string();
+  Opts.Threads = 2;
+  Server Srv(Opts);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(Error)) << Error;
+
+  {
+    const std::string Deep =
+        std::string(20000, '(') + "1" + std::string(20000, ')');
+    Client C;
+    ASSERT_TRUE(C.connect(Srv.socketPath()));
+    Json K = C.request("{\"id\":1,\"method\":\"check\",\"params\":"
+                       "{\"source\":\"" + Deep + "\"}}");
+    const Json *KR = K.find("result");
+    ASSERT_NE(KR, nullptr) << K.write();
+    EXPECT_TRUE(KR->find("success")->asBool()) << K.write();
+    EXPECT_EQ(KR->find("type")->asString(), "int");
+    Json V = C.request("{\"id\":2,\"method\":\"version\"}");
+    EXPECT_TRUE(V.find("ok") && V.find("ok")->asBool()) << V.write();
+  } // Closed: stop() waits for every open connection to end.
+
+  Client Next;
+  ASSERT_TRUE(Next.connect(Srv.socketPath()));
+  Json R = Next.request("{\"id\":3,\"method\":\"shutdown\"}");
   EXPECT_TRUE(R.find("ok") && R.find("ok")->asBool()) << R.write();
   Srv.wait();
   Srv.stop();

@@ -85,27 +85,12 @@ void specializeAndCheck(const std::string &Source, sf::SpecializeLevel Level,
 
 } // namespace
 
-TEST(SpecializeTest, ParsesLevels) {
-  sf::SpecializeLevel L;
-  EXPECT_TRUE(sf::parseSpecializeLevel("off", L));
-  EXPECT_EQ(L, sf::SpecializeLevel::Off);
-  EXPECT_TRUE(sf::parseSpecializeLevel("apps", L));
-  EXPECT_EQ(L, sf::SpecializeLevel::Apps);
-  EXPECT_TRUE(sf::parseSpecializeLevel("dicts", L));
-  EXPECT_EQ(L, sf::SpecializeLevel::Dicts);
-  EXPECT_TRUE(sf::parseSpecializeLevel("full", L));
-  EXPECT_EQ(L, sf::SpecializeLevel::Full);
-  EXPECT_FALSE(sf::parseSpecializeLevel("everything", L));
-  EXPECT_STREQ(sf::specializeLevelName(sf::SpecializeLevel::Full), "full");
-  EXPECT_STREQ(sf::specializeLevelName(sf::SpecializeLevel::Off), "off");
-}
-
 TEST(SpecializeTest, ClonesAndCachesKnownTypeApplications) {
   // f is applied at int twice and bool once: two clones, one cache hit.
   sf::OptimizeStats S;
   specializeAndCheck("let f = (forall t. fun(x : t). (x, x)) in "
                      "(f[int](1), f[int](2), f[bool](true))",
-                     sf::SpecializeLevel::Apps, S);
+                     sf::SpecializeLevel::Full, S);
   EXPECT_GE(S.ClonesCreated, 2u);
   EXPECT_GE(S.SpecCacheHits, 1u);
 }
@@ -157,7 +142,7 @@ TEST(SpecializeTest, BudgetDeclinesOversizedTypeArguments) {
   sf::OptimizeStats S;
   specializeAndCheck("let f = (forall t. fun(x : t). (x, x)) in "
                      "(f[(int * int)]((1, 2)), f[(int * int)]((3, 4)))",
-                     sf::SpecializeLevel::Apps, S, nullptr,
+                     sf::SpecializeLevel::Full, S, nullptr,
                      /*MaxTypeSize=*/1);
   EXPECT_GE(S.BudgetHits, 1u);
   EXPECT_EQ(S.ClonesCreated, 0u);
