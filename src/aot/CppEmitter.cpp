@@ -82,6 +82,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "aot/CppEmitter.h"
+#include "systemf/TermOps.h"
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -954,85 +955,6 @@ int main(int argc, char **argv) {
 )RT";
 
 //===----------------------------------------------------------------------===//
-// Free-variable analysis
-//===----------------------------------------------------------------------===//
-
-/// Appends the free term variables of \p T (in first-use order, for
-/// deterministic emission) to \p Out.
-void collectFreeVars(const Term *T, std::vector<std::string> &Bound,
-                     std::vector<std::string> &Out,
-                     std::set<std::string> &Seen) {
-  switch (T->getKind()) {
-  case TermKind::IntLit:
-  case TermKind::BoolLit:
-    return;
-  case TermKind::Var: {
-    const std::string &Name = cast<VarTerm>(T)->getName();
-    for (size_t I = Bound.size(); I != 0; --I)
-      if (Bound[I - 1] == Name)
-        return;
-    if (Seen.insert(Name).second)
-      Out.push_back(Name);
-    return;
-  }
-  case TermKind::Abs: {
-    const auto *A = cast<AbsTerm>(T);
-    size_t Mark = Bound.size();
-    for (const ParamBinding &P : A->getParams())
-      Bound.push_back(P.Name);
-    collectFreeVars(A->getBody(), Bound, Out, Seen);
-    Bound.resize(Mark);
-    return;
-  }
-  case TermKind::TyAbs:
-    collectFreeVars(cast<TyAbsTerm>(T)->getBody(), Bound, Out, Seen);
-    return;
-  case TermKind::App: {
-    const auto *A = cast<AppTerm>(T);
-    collectFreeVars(A->getFn(), Bound, Out, Seen);
-    for (const Term *Arg : A->getArgs())
-      collectFreeVars(Arg, Bound, Out, Seen);
-    return;
-  }
-  case TermKind::TyApp:
-    collectFreeVars(cast<TyAppTerm>(T)->getFn(), Bound, Out, Seen);
-    return;
-  case TermKind::Let: {
-    const auto *L = cast<LetTerm>(T);
-    collectFreeVars(L->getInit(), Bound, Out, Seen);
-    Bound.push_back(L->getName());
-    collectFreeVars(L->getBody(), Bound, Out, Seen);
-    Bound.pop_back();
-    return;
-  }
-  case TermKind::Tuple:
-    for (const Term *E : cast<TupleTerm>(T)->getElements())
-      collectFreeVars(E, Bound, Out, Seen);
-    return;
-  case TermKind::Nth:
-    collectFreeVars(cast<NthTerm>(T)->getTuple(), Bound, Out, Seen);
-    return;
-  case TermKind::If: {
-    const auto *I = cast<IfTerm>(T);
-    collectFreeVars(I->getCond(), Bound, Out, Seen);
-    collectFreeVars(I->getThen(), Bound, Out, Seen);
-    collectFreeVars(I->getElse(), Bound, Out, Seen);
-    return;
-  }
-  case TermKind::Fix:
-    collectFreeVars(cast<FixTerm>(T)->getOperand(), Bound, Out, Seen);
-    return;
-  }
-}
-
-std::vector<std::string> freeVars(const Term *T) {
-  std::vector<std::string> Bound, Out;
-  std::set<std::string> Seen;
-  collectFreeVars(T, Bound, Out, Seen);
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
 // Emitter
 //===----------------------------------------------------------------------===//
 
@@ -1250,7 +1172,7 @@ std::string Emitter::emitTerm(const Term *T, FnCtx &F, unsigned Off) {
     // Captures: every free variable of the lambda that is bound in the
     // enclosing scope.  Builtins resolve globally and need no slot.
     std::vector<std::string> Caps, CapExprs;
-    for (const std::string &FV : freeVars(T)) {
+    for (const std::string &FV : freeTermVars(T)) {
       for (size_t I = F.Scope.size(); I != 0; --I)
         if (F.Scope[I - 1].first == FV) {
           Caps.push_back(FV);
@@ -1273,7 +1195,7 @@ std::string Emitter::emitTerm(const Term *T, FnCtx &F, unsigned Off) {
   case TermKind::TyAbs: {
     const auto *A = cast<TyAbsTerm>(T);
     std::vector<std::string> Caps, CapExprs;
-    for (const std::string &FV : freeVars(T)) {
+    for (const std::string &FV : freeTermVars(T)) {
       for (size_t I = F.Scope.size(); I != 0; --I)
         if (F.Scope[I - 1].first == FV) {
           Caps.push_back(FV);

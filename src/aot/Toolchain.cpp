@@ -7,6 +7,7 @@
 
 #include "aot/Toolchain.h"
 #include "aot/CppEmitter.h"
+#include "support/Hash.h"
 #include "support/Stats.h"
 
 #include <atomic>
@@ -26,16 +27,6 @@ using namespace fg;
 using namespace fg::aot;
 
 namespace {
-
-/// FNV-1a 64; the same content-hash discipline the module interfaces
-/// and the server ArtifactCache use.
-uint64_t fnv1a(uint64_t H, const std::string &S) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
 
 std::string envOr(const char *Name, const std::string &Fallback) {
   const char *V = std::getenv(Name);
@@ -203,14 +194,14 @@ bool fg::aot::toolchainAvailable(const ToolchainOptions &Opts,
 std::string fg::aot::artifactKey(const std::string &Cpp,
                                  const std::string &Cxx,
                                  const std::string &Flags, unsigned Version) {
-  uint64_t H = 1469598103934665603ULL;
-  H = fnv1a(H, "aot:v" + std::to_string(Version));
-  H = fnv1a(H, Cxx);
-  H = fnv1a(H, Flags);
-  H = fnv1a(H, Cpp);
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)H);
-  return std::string(Buf);
+  // The seed is not FNV's offset basis (it is one digit short), but
+  // every AOT cache key in existence was made with it.
+  uint64_t H = fnv1a64("aot:v" + std::to_string(Version),
+                       1469598103934665603ULL);
+  H = fnv1a64(Cxx, H);
+  H = fnv1a64(Flags, H);
+  H = fnv1a64(Cpp, H);
+  return hashToHex(H);
 }
 
 CompiledProgram fg::aot::compileProgram(const std::string &Cpp,

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "modules/Interface.h"
+#include "support/Hash.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
 #include <cassert>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -129,22 +129,6 @@ const Term *fg::modules::buildExportProbe(TermArena &Arena,
 //===----------------------------------------------------------------------===//
 // Hashing
 //===----------------------------------------------------------------------===//
-
-uint64_t fg::modules::fnv1a64(std::string_view Data, uint64_t Seed) {
-  uint64_t H = Seed;
-  for (unsigned char C : Data) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
-static std::string hashToHex(uint64_t H) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(H));
-  return Buf;
-}
 
 /// `fgi <version>`: the head of every interface and the salt of every
 /// interface hash.

@@ -56,7 +56,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -156,10 +155,6 @@ const Term *buildExportProbe(TermArena &Arena, const Term *ModuleBody,
 //===----------------------------------------------------------------------===//
 // Building, serializing, instantiating
 //===----------------------------------------------------------------------===//
-
-/// FNV-1a 64-bit over \p Data, chained through \p Seed.
-uint64_t fnv1a64(std::string_view Data,
-                 uint64_t Seed = 0xcbf29ce484222325ull);
 
 /// The interface hash of a module: format version + source text +
 /// direct dependencies' (name, interface hash) in import order.

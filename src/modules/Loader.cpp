@@ -7,6 +7,7 @@
 
 #include "modules/Loader.h"
 #include "modules/Interface.h"
+#include "support/Hash.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
 #include "syntax/Lexer.h"

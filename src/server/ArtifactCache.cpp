@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/ArtifactCache.h"
-#include "modules/Interface.h"
+#include "support/Hash.h"
 #include "support/Stats.h"
 
 using namespace fg;
@@ -65,13 +65,13 @@ size_t ArtifactCache::size() const {
 
 CacheKey ArtifactCache::key(std::string_view Kind, std::string_view Payload,
                             uint64_t Salt) {
-  uint64_t H = modules::fnv1a64(Kind);
+  uint64_t H = fnv1a64(Kind);
   // Separator byte: key("ab","c") must differ from key("a","bc").
-  H = modules::fnv1a64(std::string_view("\0", 1), H);
-  H = modules::fnv1a64(Payload, H);
+  H = fnv1a64(std::string_view("\0", 1), H);
+  H = fnv1a64(Payload, H);
   char SaltBytes[8];
   for (int I = 0; I < 8; ++I)
     SaltBytes[I] = static_cast<char>((Salt >> (8 * I)) & 0xff);
-  H = modules::fnv1a64(std::string_view(SaltBytes, 8), H);
+  H = fnv1a64(std::string_view(SaltBytes, 8), H);
   return CacheKey{std::string(Kind), std::string(Payload), Salt, H};
 }

@@ -8,6 +8,7 @@
 #include "server/Server.h"
 #include "server/Protocol.h"
 #include "support/Stats.h"
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <istream>
@@ -119,6 +120,7 @@ void Server::workerLoop() {
         return; // Stopping with nothing queued.
       Fd = Pending.front();
       Pending.pop_front();
+      Serving.push_back(Fd);
     }
     serveConnection(Fd);
   }
@@ -157,6 +159,12 @@ void Server::serveConnection(int Fd) {
     }
   }
 done:
+  {
+    // Out of Serving before close(), so requestStop() never shuts down
+    // a recycled descriptor number.
+    std::lock_guard<std::mutex> Lock(Mu);
+    Serving.erase(std::find(Serving.begin(), Serving.end(), Fd));
+  }
   ::close(Fd);
   stats::Statistics::global().add("server.sessions.closed");
   if (Shutdown)
@@ -177,6 +185,10 @@ void Server::requestStop() {
     for (int Fd : Pending)
       ::close(Fd);
     Pending.clear();
+    // A worker blocked in recv() on an idle session wakes to EOF; one
+    // busy with a request still sends its reply, then reads EOF.
+    for (int Fd : Serving)
+      ::shutdown(Fd, SHUT_RD);
     if (ListenFd >= 0) {
       // shutdown() unblocks the acceptor's accept() without releasing
       // the descriptor number; stop() close()s it only after joining

@@ -21,8 +21,9 @@
 /// with artifact-cache misses and hits in its mix.
 ///
 /// A `shutdown` request (from any session) stops the daemon: the
-/// listener closes, idle workers wake and exit, in-flight sessions
-/// finish their current request.  `serveStream` is the same protocol
+/// listener closes, idle workers wake and exit, and every open session
+/// answers the request it is serving, then ends — its client reads EOF
+/// instead of holding the daemon up.  `serveStream` is the same protocol
 /// loop over arbitrary iostreams — the `fgcd --stdio` mode and the
 /// unit-test entry point.
 ///
@@ -102,6 +103,7 @@ private:
   std::condition_variable QueueCv;   ///< Pending-connection arrivals.
   std::condition_variable StopCv;    ///< wait() wake-up.
   std::deque<int> Pending;           ///< Accepted, unserved connections.
+  std::vector<int> Serving;          ///< Connections workers are serving.
   bool Stopping = false;
   bool Started = false;
 };

@@ -12,53 +12,10 @@
 #include <cassert>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 using namespace fg;
 using namespace fg::sf;
-
-size_t fg::sf::countTermNodes(const Term *T) {
-  switch (T->getKind()) {
-  case TermKind::IntLit:
-  case TermKind::BoolLit:
-  case TermKind::Var:
-    return 1;
-  case TermKind::Abs:
-    return 1 + countTermNodes(cast<AbsTerm>(T)->getBody());
-  case TermKind::App: {
-    const auto *A = cast<AppTerm>(T);
-    size_t N = 1 + countTermNodes(A->getFn());
-    for (const Term *Arg : A->getArgs())
-      N += countTermNodes(Arg);
-    return N;
-  }
-  case TermKind::TyAbs:
-    return 1 + countTermNodes(cast<TyAbsTerm>(T)->getBody());
-  case TermKind::TyApp:
-    return 1 + countTermNodes(cast<TyAppTerm>(T)->getFn());
-  case TermKind::Let: {
-    const auto *L = cast<LetTerm>(T);
-    return 1 + countTermNodes(L->getInit()) + countTermNodes(L->getBody());
-  }
-  case TermKind::Tuple: {
-    size_t N = 1;
-    for (const Term *E : cast<TupleTerm>(T)->getElements())
-      N += countTermNodes(E);
-    return N;
-  }
-  case TermKind::Nth:
-    return 1 + countTermNodes(cast<NthTerm>(T)->getTuple());
-  case TermKind::If: {
-    const auto *I = cast<IfTerm>(T);
-    return 1 + countTermNodes(I->getCond()) + countTermNodes(I->getThen()) +
-           countTermNodes(I->getElse());
-  }
-  case TermKind::Fix:
-    return 1 + countTermNodes(cast<FixTerm>(T)->getOperand());
-  }
-  return 1;
-}
 
 namespace {
 
@@ -109,6 +66,12 @@ constexpr unsigned MaxIterations = 10;
 /// Inlining stops once the term outgrows this multiple of its original
 /// size (guards against code-size blowup from dictionary duplication).
 constexpr size_t MaxGrowthFactor = 64;
+/// Per-application cap on the summed structural size of type arguments
+/// accepted by specialize-tyapps.  Nested instantiation chains (the
+/// polymorphic-recursion pattern) double their argument size at each
+/// level, so this bounds the clone cascade; refusals are counted in
+/// OptimizeStats::BudgetHits.
+constexpr size_t MaxSpecializeTypeSize = 48;
 
 /// The specializer.  All rewriting preserves sharing: a transform
 /// returns the original node when nothing changed underneath it.
@@ -169,7 +132,7 @@ private:
       size_t Current = countTermNodes(T);
       return Spec.runTypeAppSpecialize(T,
                                        Budget > Current ? Budget - Current : 0,
-                                       Opts.MaxSpecializeTypeSize);
+                                       MaxSpecializeTypeSize);
     }
     case PassDevirt:
       return Spec.runDevirtualizeDicts(T);
@@ -215,19 +178,9 @@ private:
 
   const Term *rewrite(const Term *T) {
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-    case TermKind::Var:
-      return T;
-
-    case TermKind::Abs: {
-      const auto *A = cast<AbsTerm>(T);
-      const Term *Body = rewrite(A->getBody());
-      return Body == A->getBody() ? T
-                                  : Arena.makeAbs(A->getParams(), Body);
-    }
-
     case TermKind::App: {
+      if (!(Mask & PassBetaInline))
+        break;
       const auto *A = cast<AppTerm>(T);
       const Term *Fn = rewrite(A->getFn());
       std::vector<const Term *> Args;
@@ -239,8 +192,7 @@ private:
       }
       // Beta-reduce (fun(x...). body)(v...) for pure arguments — the
       // dictionary application exposed by TyApp inlining.
-      if (const auto *Abs = dyn_cast<AbsTerm>(Fn);
-          Abs && (Mask & PassBetaInline)) {
+      if (const auto *Abs = dyn_cast<AbsTerm>(Fn)) {
         bool AllPure = Abs->getParams().size() == Args.size();
         for (const Term *Arg : Args)
           AllPure &= isPureTerm(Arg);
@@ -270,35 +222,30 @@ private:
       return Changed ? Arena.makeApp(Fn, std::move(Args)) : T;
     }
 
-    case TermKind::TyAbs: {
-      const auto *A = cast<TyAbsTerm>(T);
-      const Term *Body = rewrite(A->getBody());
-      return Body == A->getBody() ? T
-                                  : Arena.makeTyAbs(A->getParams(), Body);
-    }
-
     case TermKind::TyApp: {
+      if (!(Mask & PassInstantiate))
+        break;
       const auto *A = cast<TyAppTerm>(T);
       const Term *Fn = rewrite(A->getFn());
       // Instantiate a known type abstraction (the C++ model).
       if (const auto *TA = dyn_cast<TyAbsTerm>(Fn);
-          TA && (Mask & PassInstantiate)) {
-        if (TA->getParams().size() == A->getTypeArgs().size()) {
-          TypeSubst S;
-          for (size_t I = 0; I != TA->getParams().size(); ++I)
-            S[TA->getParams()[I].Id] = A->getTypeArgs()[I];
-          ++Stats.TypeAppsInlined;
-          return substituteTermTypes(Arena, Ctx, TA->getBody(), S);
-        }
+          TA && TA->getParams().size() == A->getTypeArgs().size()) {
+        TypeSubst S;
+        for (size_t I = 0; I != TA->getParams().size(); ++I)
+          S[TA->getParams()[I].Id] = A->getTypeArgs()[I];
+        ++Stats.TypeAppsInlined;
+        return substituteTermTypes(Arena, Ctx, TA->getBody(), S);
       }
       return Fn == A->getFn() ? T : Arena.makeTyApp(Fn, A->getTypeArgs());
     }
 
     case TermKind::Let: {
+      if (!(Mask & PassInlineLets))
+        break;
       const auto *L = cast<LetTerm>(T);
       const Term *Init = rewrite(L->getInit());
       const Term *Body = rewrite(L->getBody());
-      if ((Mask & PassInlineLets) && isPureTerm(Init)) {
+      if (isPureTerm(Init)) {
         unsigned N = countVarOccurrences(Body, L->getName());
         if (N == 0) {
           ++Stats.DeadLetsRemoved;
@@ -319,58 +266,46 @@ private:
       return Arena.makeLet(L->getName(), Init, Body);
     }
 
-    case TermKind::Tuple: {
-      const auto *Tu = cast<TupleTerm>(T);
-      std::vector<const Term *> Elems;
-      bool Changed = false;
-      for (const Term *E : Tu->getElements()) {
-        const Term *NE = rewrite(E);
-        Changed |= NE != E;
-        Elems.push_back(NE);
-      }
-      return Changed ? Arena.makeTuple(std::move(Elems)) : T;
-    }
-
     case TermKind::Nth: {
+      if (!(Mask & PassFold))
+        break;
       const auto *N = cast<NthTerm>(T);
       const Term *Tu = rewrite(N->getTuple());
       // Fold `nth (e0, ..., en) i` when dropping the other elements is
       // safe (all pure) — compiled member access collapses this way.
       if (const auto *Lit = dyn_cast<TupleTerm>(Tu);
-          Lit && (Mask & PassFold)) {
-        if (N->getIndex() < Lit->getElements().size()) {
-          bool AllPure = true;
-          for (const Term *E : Lit->getElements())
-            AllPure &= isPureTerm(E);
-          if (AllPure) {
-            ++Stats.ProjectionsFolded;
-            return Lit->getElements()[N->getIndex()];
-          }
+          Lit && N->getIndex() < Lit->getElements().size()) {
+        bool AllPure = true;
+        for (const Term *E : Lit->getElements())
+          AllPure &= isPureTerm(E);
+        if (AllPure) {
+          ++Stats.ProjectionsFolded;
+          return Lit->getElements()[N->getIndex()];
         }
       }
       return Tu == N->getTuple() ? T : Arena.makeNth(Tu, N->getIndex());
     }
 
     case TermKind::If: {
+      if (!(Mask & PassFold))
+        break;
       const auto *I = cast<IfTerm>(T);
       const Term *C = rewrite(I->getCond());
       const Term *Th = rewrite(I->getThen());
       const Term *El = rewrite(I->getElse());
       // Constant-fold a literal condition.
-      if (const auto *B = dyn_cast<BoolLit>(C); B && (Mask & PassFold))
+      if (const auto *B = dyn_cast<BoolLit>(C))
         return B->getValue() ? Th : El;
       if (C == I->getCond() && Th == I->getThen() && El == I->getElse())
         return T;
       return Arena.makeIf(C, Th, El);
     }
 
-    case TermKind::Fix: {
-      const auto *F = cast<FixTerm>(T);
-      const Term *Op = rewrite(F->getOperand());
-      return Op == F->getOperand() ? T : Arena.makeFix(Op);
+    default:
+      break;
     }
-    }
-    return T;
+    // Every other node, and the kinds above when another pass runs.
+    return mapChildren(Arena, T, [this](const Term *C) { return rewrite(C); });
   }
 
   TermArena &Arena;

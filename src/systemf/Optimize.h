@@ -49,12 +49,6 @@ struct OptimizeOptions {
   /// Whether the -O2 specialization passes (Specialize.h) run on top of
   /// the baseline passes.  Off is the -O1 pipeline.
   SpecializeLevel Specialize = SpecializeLevel::Off;
-  /// Per-application cap on the summed structural size of type
-  /// arguments accepted by specialize-tyapps.  Nested instantiation
-  /// chains (the polymorphic-recursion pattern) double their argument
-  /// size at each level, so this bounds the clone cascade; refusals are
-  /// counted in OptimizeStats::BudgetHits.
-  size_t MaxSpecializeTypeSize = 48;
   /// Names whose type applications specialize-tyapps may hoist into
   /// top-level anchor lets (one per instantiation).  The frontend binds
   /// this to the prelude builtins; null disables hoisting.  Only names
@@ -110,9 +104,6 @@ struct OptimizeStats {
 /// The named passes of the specialization pipeline, in the order each
 /// iteration runs them (exposed so tools and tests can enumerate them).
 const std::vector<const char *> &optimizePassNames();
-
-/// Returns the number of AST nodes in \p T.
-size_t countTermNodes(const Term *T);
 
 /// Specializes \p T.  New nodes are allocated from \p Arena; types are
 /// interned in \p Ctx.  Semantics- and type-preserving (checked by the

@@ -139,19 +139,14 @@ private:
 
   const Term *visit(const Term *T) {
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-    case TermKind::Var:
-      return T;
-
     case TermKind::Abs: {
       const auto *A = cast<AbsTerm>(T);
       for (const ParamBinding &P : A->getParams())
         pushOpaque(P.Name);
-      const Term *Body = visit(A->getBody());
+      const Term *R = visitChildren(T);
       for (const ParamBinding &P : A->getParams())
         pop(P.Name);
-      return Body == A->getBody() ? T : Arena.makeAbs(A->getParams(), Body);
+      return R;
     }
 
     case TermKind::Let: {
@@ -170,7 +165,7 @@ private:
         // references an outer binding with this let's own name would be
         // captured there — skip such (pathological) definitions.
         if (isPureTerm(TA->getBody()) &&
-            !freeTermVars(TA->getBody()).count(L->getName()))
+            countVarOccurrences(TA->getBody(), L->getName()) == 0)
           D.TyAbs = TA;
       Scope[L->getName()].push_back(D.TyAbs ? &D : nullptr);
       if (IsAnchor)
@@ -260,60 +255,13 @@ private:
       return Fn == A->getFn() ? T : Arena.makeTyApp(Fn, A->getTypeArgs());
     }
 
-    case TermKind::App: {
-      const auto *A = cast<AppTerm>(T);
-      const Term *Fn = visit(A->getFn());
-      std::vector<const Term *> Args;
-      bool Changed = Fn != A->getFn();
-      for (const Term *Arg : A->getArgs()) {
-        const Term *NA = visit(Arg);
-        Changed |= NA != Arg;
-        Args.push_back(NA);
-      }
-      return Changed ? Arena.makeApp(Fn, std::move(Args)) : T;
+    default:
+      return visitChildren(T);
     }
+  }
 
-    case TermKind::TyAbs: {
-      const auto *A = cast<TyAbsTerm>(T);
-      const Term *Body = visit(A->getBody());
-      return Body == A->getBody() ? T : Arena.makeTyAbs(A->getParams(), Body);
-    }
-
-    case TermKind::Tuple: {
-      const auto *Tu = cast<TupleTerm>(T);
-      std::vector<const Term *> Elems;
-      bool Changed = false;
-      for (const Term *E : Tu->getElements()) {
-        const Term *NE = visit(E);
-        Changed |= NE != E;
-        Elems.push_back(NE);
-      }
-      return Changed ? Arena.makeTuple(std::move(Elems)) : T;
-    }
-
-    case TermKind::Nth: {
-      const auto *N = cast<NthTerm>(T);
-      const Term *Tu = visit(N->getTuple());
-      return Tu == N->getTuple() ? T : Arena.makeNth(Tu, N->getIndex());
-    }
-
-    case TermKind::If: {
-      const auto *I = cast<IfTerm>(T);
-      const Term *C = visit(I->getCond());
-      const Term *Th = visit(I->getThen());
-      const Term *El = visit(I->getElse());
-      if (C == I->getCond() && Th == I->getThen() && El == I->getElse())
-        return T;
-      return Arena.makeIf(C, Th, El);
-    }
-
-    case TermKind::Fix: {
-      const auto *F = cast<FixTerm>(T);
-      const Term *Op = visit(F->getOperand());
-      return Op == F->getOperand() ? T : Arena.makeFix(Op);
-    }
-    }
-    return T;
+  const Term *visitChildren(const Term *T) {
+    return mapChildren(Arena, T, [this](const Term *C) { return visit(C); });
   }
 
   TermArena &Arena;
@@ -451,74 +399,37 @@ private:
   /// dictionaries whose members were already devirtualized.
   bool hasProjection(const Term *T, const std::string &Name) const {
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-    case TermKind::Var:
-      return false;
-    case TermKind::Abs: {
-      const auto *A = cast<AbsTerm>(T);
-      for (const ParamBinding &P : A->getParams())
-        if (P.Name == Name)
-          return false;
-      return hasProjection(A->getBody(), Name);
-    }
-    case TermKind::App: {
-      const auto *A = cast<AppTerm>(T);
-      if (hasProjection(A->getFn(), Name))
-        return true;
-      for (const Term *Arg : A->getArgs())
-        if (hasProjection(Arg, Name))
-          return true;
-      return false;
-    }
-    case TermKind::TyAbs:
-      return hasProjection(cast<TyAbsTerm>(T)->getBody(), Name);
-    case TermKind::TyApp:
-      return hasProjection(cast<TyAppTerm>(T)->getFn(), Name);
+    case TermKind::Abs:
+      if (bindsParam(cast<AbsTerm>(T), Name))
+        return false;
+      break;
     case TermKind::Let: {
       const auto *L = cast<LetTerm>(T);
-      if (hasProjection(L->getInit(), Name))
-        return true;
-      return L->getName() == Name ? false : hasProjection(L->getBody(), Name);
+      if (L->getName() == Name)
+        return hasProjection(L->getInit(), Name);
+      break;
     }
-    case TermKind::Tuple:
-      for (const Term *E : cast<TupleTerm>(T)->getElements())
-        if (hasProjection(E, Name))
-          return true;
-      return false;
-    case TermKind::Nth: {
-      const auto *N = cast<NthTerm>(T);
-      if (const auto *V = dyn_cast<VarTerm>(N->getTuple()))
+    case TermKind::Nth:
+      if (const auto *V = dyn_cast<VarTerm>(cast<NthTerm>(T)->getTuple()))
         return V->getName() == Name;
-      return hasProjection(N->getTuple(), Name);
+      break;
+    default:
+      break;
     }
-    case TermKind::If: {
-      const auto *I = cast<IfTerm>(T);
-      return hasProjection(I->getCond(), Name) ||
-             hasProjection(I->getThen(), Name) ||
-             hasProjection(I->getElse(), Name);
-    }
-    case TermKind::Fix:
-      return hasProjection(cast<FixTerm>(T)->getOperand(), Name);
-    }
-    return false;
+    return !allChildren(
+        T, [&](const Term *C) { return !hasProjection(C, Name); });
   }
 
   const Term *visit(const Term *T) {
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-    case TermKind::Var:
-      return T;
-
     case TermKind::Abs: {
       const auto *A = cast<AbsTerm>(T);
       for (const ParamBinding &P : A->getParams())
         pushBinder(P.Name, nullptr);
-      const Term *Body = visit(A->getBody());
+      const Term *R = visitChildren(T);
       for (const ParamBinding &P : A->getParams())
         popBinder(P.Name);
-      return Body == A->getBody() ? T : Arena.makeAbs(A->getParams(), Body);
+      return R;
     }
 
     case TermKind::Let: {
@@ -638,58 +549,17 @@ private:
           return T;
         return Arena.makeApp(NewFn, std::move(Args));
       }
-      const Term *Fn = visit(A->getFn());
-      std::vector<const Term *> Args;
-      bool Changed = Fn != A->getFn();
-      for (const Term *Arg : A->getArgs()) {
-        const Term *NA = visit(Arg);
-        Changed |= NA != Arg;
-        Args.push_back(NA);
-      }
-      return Changed ? Arena.makeApp(Fn, std::move(Args)) : T;
+      break;
     }
 
-    case TermKind::TyAbs: {
-      const auto *A = cast<TyAbsTerm>(T);
-      const Term *Body = visit(A->getBody());
-      return Body == A->getBody() ? T : Arena.makeTyAbs(A->getParams(), Body);
+    default:
+      break;
     }
+    return visitChildren(T);
+  }
 
-    case TermKind::TyApp: {
-      const auto *A = cast<TyAppTerm>(T);
-      const Term *Fn = visit(A->getFn());
-      return Fn == A->getFn() ? T : Arena.makeTyApp(Fn, A->getTypeArgs());
-    }
-
-    case TermKind::Tuple: {
-      const auto *Tu = cast<TupleTerm>(T);
-      std::vector<const Term *> Elems;
-      bool Changed = false;
-      for (const Term *E : Tu->getElements()) {
-        const Term *NE = visit(E);
-        Changed |= NE != E;
-        Elems.push_back(NE);
-      }
-      return Changed ? Arena.makeTuple(std::move(Elems)) : T;
-    }
-
-    case TermKind::If: {
-      const auto *I = cast<IfTerm>(T);
-      const Term *C = visit(I->getCond());
-      const Term *Th = visit(I->getThen());
-      const Term *El = visit(I->getElse());
-      if (C == I->getCond() && Th == I->getThen() && El == I->getElse())
-        return T;
-      return Arena.makeIf(C, Th, El);
-    }
-
-    case TermKind::Fix: {
-      const auto *F = cast<FixTerm>(T);
-      const Term *Op = visit(F->getOperand());
-      return Op == F->getOperand() ? T : Arena.makeFix(Op);
-    }
-    }
-    return T;
+  const Term *visitChildren(const Term *T) {
+    return mapChildren(Arena, T, [this](const Term *C) { return visit(C); });
   }
 
   TermArena &Arena;
@@ -741,312 +611,146 @@ private:
   /// positions are pure (shadowing-aware).
   static bool callsAllowDrop(const Term *T, const std::string &Name,
                              size_t Arity, const std::vector<size_t> &Dead) {
+    auto Allows = [&](const Term *C) {
+      return callsAllowDrop(C, Name, Arity, Dead);
+    };
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-      return true;
     case TermKind::Var:
       return cast<VarTerm>(T)->getName() != Name;
     case TermKind::App: {
       const auto *A = cast<AppTerm>(T);
-      if (const auto *V = dyn_cast<VarTerm>(A->getFn());
-          V && V->getName() == Name) {
-        if (A->getArgs().size() != Arity)
-          return false;
-        for (size_t I : Dead)
-          if (!isPureTerm(A->getArgs()[I]))
-            return false;
-        for (const Term *Arg : A->getArgs())
-          if (!callsAllowDrop(Arg, Name, Arity, Dead))
-            return false;
-        return true;
-      }
-      if (!callsAllowDrop(A->getFn(), Name, Arity, Dead))
+      const auto *V = dyn_cast<VarTerm>(A->getFn());
+      if (!V || V->getName() != Name)
+        break;
+      if (A->getArgs().size() != Arity)
         return false;
-      for (const Term *Arg : A->getArgs())
-        if (!callsAllowDrop(Arg, Name, Arity, Dead))
+      for (size_t I : Dead)
+        if (!isPureTerm(A->getArgs()[I]))
           return false;
-      return true;
+      return std::all_of(A->getArgs().begin(), A->getArgs().end(), Allows);
     }
-    case TermKind::Abs: {
-      const auto *A = cast<AbsTerm>(T);
-      for (const ParamBinding &P : A->getParams())
-        if (P.Name == Name)
-          return true; // Shadowed: inner occurrences are another binding.
-      return callsAllowDrop(A->getBody(), Name, Arity, Dead);
-    }
-    case TermKind::TyAbs:
-      return callsAllowDrop(cast<TyAbsTerm>(T)->getBody(), Name, Arity, Dead);
-    case TermKind::TyApp:
-      // `f[τ]` is a non-call use of f.
-      return callsAllowDrop(cast<TyAppTerm>(T)->getFn(), Name, Arity, Dead);
+    case TermKind::Abs:
+      if (bindsParam(cast<AbsTerm>(T), Name))
+        return true; // Shadowed: inner occurrences are another binding.
+      break;
     case TermKind::Let: {
       const auto *L = cast<LetTerm>(T);
-      if (!callsAllowDrop(L->getInit(), Name, Arity, Dead))
-        return false;
-      return L->getName() == Name ||
-             callsAllowDrop(L->getBody(), Name, Arity, Dead);
+      if (L->getName() == Name)
+        return Allows(L->getInit());
+      break;
     }
-    case TermKind::Tuple:
-      for (const Term *E : cast<TupleTerm>(T)->getElements())
-        if (!callsAllowDrop(E, Name, Arity, Dead))
-          return false;
-      return true;
-    case TermKind::Nth:
-      return callsAllowDrop(cast<NthTerm>(T)->getTuple(), Name, Arity, Dead);
-    case TermKind::If: {
-      const auto *I = cast<IfTerm>(T);
-      return callsAllowDrop(I->getCond(), Name, Arity, Dead) &&
-             callsAllowDrop(I->getThen(), Name, Arity, Dead) &&
-             callsAllowDrop(I->getElse(), Name, Arity, Dead);
+    default:
+      break;
     }
-    case TermKind::Fix:
-      return callsAllowDrop(cast<FixTerm>(T)->getOperand(), Name, Arity,
-                            Dead);
-    }
-    return false;
+    // Any other occurrence of Name, `f[τ]` included, is a non-call use
+    // and reaches the Var case.
+    return allChildren(T, Allows);
   }
 
   /// Rewrites every direct call of \p Name to drop the \p Dead argument
   /// positions.  Only sound after callsAllowDrop accepted.
   const Term *dropCallArgs(const Term *T, const std::string &Name,
                            const std::vector<size_t> &Dead) {
+    auto Drop = [&](const Term *C) { return dropCallArgs(C, Name, Dead); };
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-    case TermKind::Var:
-      return T;
     case TermKind::App: {
       const auto *A = cast<AppTerm>(T);
       const auto *V = dyn_cast<VarTerm>(A->getFn());
-      bool IsCall = V && V->getName() == Name;
+      if (!V || V->getName() != Name)
+        break;
       std::vector<const Term *> Args;
-      bool Changed = IsCall;
-      for (size_t I = 0; I != A->getArgs().size(); ++I) {
-        if (IsCall &&
-            std::find(Dead.begin(), Dead.end(), I) != Dead.end())
-          continue;
-        const Term *NA = dropCallArgs(A->getArgs()[I], Name, Dead);
-        Changed |= NA != A->getArgs()[I];
-        Args.push_back(NA);
-      }
-      const Term *Fn = IsCall ? A->getFn() : dropCallArgs(A->getFn(), Name, Dead);
-      Changed |= Fn != A->getFn();
-      return Changed ? Arena.makeApp(Fn, std::move(Args)) : T;
+      for (size_t I = 0; I != A->getArgs().size(); ++I)
+        if (std::find(Dead.begin(), Dead.end(), I) == Dead.end())
+          Args.push_back(Drop(A->getArgs()[I]));
+      return Arena.makeApp(A->getFn(), std::move(Args));
     }
-    case TermKind::Abs: {
-      const auto *A = cast<AbsTerm>(T);
-      for (const ParamBinding &P : A->getParams())
-        if (P.Name == Name)
-          return T;
-      const Term *Body = dropCallArgs(A->getBody(), Name, Dead);
-      return Body == A->getBody() ? T : Arena.makeAbs(A->getParams(), Body);
-    }
-    case TermKind::TyAbs: {
-      const auto *A = cast<TyAbsTerm>(T);
-      const Term *Body = dropCallArgs(A->getBody(), Name, Dead);
-      return Body == A->getBody() ? T : Arena.makeTyAbs(A->getParams(), Body);
-    }
-    case TermKind::TyApp: {
-      const auto *A = cast<TyAppTerm>(T);
-      const Term *Fn = dropCallArgs(A->getFn(), Name, Dead);
-      return Fn == A->getFn() ? T : Arena.makeTyApp(Fn, A->getTypeArgs());
-    }
+    case TermKind::Abs:
+      if (bindsParam(cast<AbsTerm>(T), Name))
+        return T;
+      break;
     case TermKind::Let: {
       const auto *L = cast<LetTerm>(T);
-      const Term *Init = dropCallArgs(L->getInit(), Name, Dead);
-      const Term *Body = L->getName() == Name
-                             ? L->getBody()
-                             : dropCallArgs(L->getBody(), Name, Dead);
-      if (Init == L->getInit() && Body == L->getBody())
-        return T;
-      return Arena.makeLet(L->getName(), Init, Body);
+      if (L->getName() != Name)
+        break;
+      const Term *Init = Drop(L->getInit());
+      return Init == L->getInit()
+                 ? T
+                 : Arena.makeLet(L->getName(), Init, L->getBody());
     }
-    case TermKind::Tuple: {
-      const auto *Tu = cast<TupleTerm>(T);
-      std::vector<const Term *> Elems;
-      bool Changed = false;
-      for (const Term *E : Tu->getElements()) {
-        const Term *NE = dropCallArgs(E, Name, Dead);
-        Changed |= NE != E;
-        Elems.push_back(NE);
-      }
-      return Changed ? Arena.makeTuple(std::move(Elems)) : T;
+    default:
+      break;
     }
-    case TermKind::Nth: {
-      const auto *N = cast<NthTerm>(T);
-      const Term *Tu = dropCallArgs(N->getTuple(), Name, Dead);
-      return Tu == N->getTuple() ? T : Arena.makeNth(Tu, N->getIndex());
-    }
-    case TermKind::If: {
-      const auto *I = cast<IfTerm>(T);
-      const Term *C = dropCallArgs(I->getCond(), Name, Dead);
-      const Term *Th = dropCallArgs(I->getThen(), Name, Dead);
-      const Term *El = dropCallArgs(I->getElse(), Name, Dead);
-      if (C == I->getCond() && Th == I->getThen() && El == I->getElse())
-        return T;
-      return Arena.makeIf(C, Th, El);
-    }
-    case TermKind::Fix: {
-      const auto *F = cast<FixTerm>(T);
-      const Term *Op = dropCallArgs(F->getOperand(), Name, Dead);
-      return Op == F->getOperand() ? T : Arena.makeFix(Op);
-    }
-    }
-    return T;
+    return mapChildren(Arena, T, Drop);
   }
 
   /// True when every occurrence of \p Name in \p T is `nth Name k` with
   /// k < \p Size; marks the projected indices in \p Used.
   static bool onlyProjected(const Term *T, const std::string &Name,
                             size_t Size, std::vector<bool> &Used) {
+    auto Only = [&](const Term *C) {
+      return onlyProjected(C, Name, Size, Used);
+    };
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-      return true;
     case TermKind::Var:
       return cast<VarTerm>(T)->getName() != Name;
     case TermKind::Nth: {
       const auto *N = cast<NthTerm>(T);
-      if (const auto *V = dyn_cast<VarTerm>(N->getTuple());
-          V && V->getName() == Name) {
-        if (N->getIndex() >= Size)
-          return false;
-        Used[N->getIndex()] = true;
-        return true;
-      }
-      return onlyProjected(N->getTuple(), Name, Size, Used);
-    }
-    case TermKind::Abs: {
-      const auto *A = cast<AbsTerm>(T);
-      for (const ParamBinding &P : A->getParams())
-        if (P.Name == Name)
-          return true;
-      return onlyProjected(A->getBody(), Name, Size, Used);
-    }
-    case TermKind::App: {
-      const auto *A = cast<AppTerm>(T);
-      if (!onlyProjected(A->getFn(), Name, Size, Used))
+      const auto *V = dyn_cast<VarTerm>(N->getTuple());
+      if (!V || V->getName() != Name)
+        break;
+      if (N->getIndex() >= Size)
         return false;
-      for (const Term *Arg : A->getArgs())
-        if (!onlyProjected(Arg, Name, Size, Used))
-          return false;
+      Used[N->getIndex()] = true;
       return true;
     }
-    case TermKind::TyAbs:
-      return onlyProjected(cast<TyAbsTerm>(T)->getBody(), Name, Size, Used);
-    case TermKind::TyApp:
-      return onlyProjected(cast<TyAppTerm>(T)->getFn(), Name, Size, Used);
+    case TermKind::Abs:
+      if (bindsParam(cast<AbsTerm>(T), Name))
+        return true;
+      break;
     case TermKind::Let: {
       const auto *L = cast<LetTerm>(T);
-      if (!onlyProjected(L->getInit(), Name, Size, Used))
-        return false;
-      return L->getName() == Name ||
-             onlyProjected(L->getBody(), Name, Size, Used);
+      if (L->getName() == Name)
+        return Only(L->getInit());
+      break;
     }
-    case TermKind::Tuple:
-      for (const Term *E : cast<TupleTerm>(T)->getElements())
-        if (!onlyProjected(E, Name, Size, Used))
-          return false;
-      return true;
-    case TermKind::If: {
-      const auto *I = cast<IfTerm>(T);
-      return onlyProjected(I->getCond(), Name, Size, Used) &&
-             onlyProjected(I->getThen(), Name, Size, Used) &&
-             onlyProjected(I->getElse(), Name, Size, Used);
+    default:
+      break;
     }
-    case TermKind::Fix:
-      return onlyProjected(cast<FixTerm>(T)->getOperand(), Name, Size, Used);
-    }
-    return false;
+    return allChildren(T, Only);
   }
 
   /// Reindexes `nth Name k` through \p Remap (shadowing-aware; only
   /// sound after onlyProjected accepted).
   const Term *remapNths(const Term *T, const std::string &Name,
                         const std::vector<unsigned> &Remap) {
+    auto Reindex = [&](const Term *C) { return remapNths(C, Name, Remap); };
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-    case TermKind::Var:
-      return T;
     case TermKind::Nth: {
       const auto *N = cast<NthTerm>(T);
-      if (const auto *V = dyn_cast<VarTerm>(N->getTuple());
-          V && V->getName() == Name)
-        return Remap[N->getIndex()] == N->getIndex()
-                   ? T
-                   : Arena.makeNth(N->getTuple(), Remap[N->getIndex()]);
-      const Term *Tu = remapNths(N->getTuple(), Name, Remap);
-      return Tu == N->getTuple() ? T : Arena.makeNth(Tu, N->getIndex());
+      const auto *V = dyn_cast<VarTerm>(N->getTuple());
+      if (!V || V->getName() != Name)
+        break;
+      return Remap[N->getIndex()] == N->getIndex()
+                 ? T
+                 : Arena.makeNth(N->getTuple(), Remap[N->getIndex()]);
     }
-    case TermKind::Abs: {
-      const auto *A = cast<AbsTerm>(T);
-      for (const ParamBinding &P : A->getParams())
-        if (P.Name == Name)
-          return T;
-      const Term *Body = remapNths(A->getBody(), Name, Remap);
-      return Body == A->getBody() ? T : Arena.makeAbs(A->getParams(), Body);
-    }
-    case TermKind::App: {
-      const auto *A = cast<AppTerm>(T);
-      const Term *Fn = remapNths(A->getFn(), Name, Remap);
-      std::vector<const Term *> Args;
-      bool Changed = Fn != A->getFn();
-      for (const Term *Arg : A->getArgs()) {
-        const Term *NA = remapNths(Arg, Name, Remap);
-        Changed |= NA != Arg;
-        Args.push_back(NA);
-      }
-      return Changed ? Arena.makeApp(Fn, std::move(Args)) : T;
-    }
-    case TermKind::TyAbs: {
-      const auto *A = cast<TyAbsTerm>(T);
-      const Term *Body = remapNths(A->getBody(), Name, Remap);
-      return Body == A->getBody() ? T : Arena.makeTyAbs(A->getParams(), Body);
-    }
-    case TermKind::TyApp: {
-      const auto *A = cast<TyAppTerm>(T);
-      const Term *Fn = remapNths(A->getFn(), Name, Remap);
-      return Fn == A->getFn() ? T : Arena.makeTyApp(Fn, A->getTypeArgs());
-    }
+    case TermKind::Abs:
+      if (bindsParam(cast<AbsTerm>(T), Name))
+        return T;
+      break;
     case TermKind::Let: {
       const auto *L = cast<LetTerm>(T);
-      const Term *Init = remapNths(L->getInit(), Name, Remap);
-      const Term *Body = L->getName() == Name
-                             ? L->getBody()
-                             : remapNths(L->getBody(), Name, Remap);
-      if (Init == L->getInit() && Body == L->getBody())
-        return T;
-      return Arena.makeLet(L->getName(), Init, Body);
+      if (L->getName() != Name)
+        break;
+      const Term *Init = Reindex(L->getInit());
+      return Init == L->getInit()
+                 ? T
+                 : Arena.makeLet(L->getName(), Init, L->getBody());
     }
-    case TermKind::Tuple: {
-      const auto *Tu = cast<TupleTerm>(T);
-      std::vector<const Term *> Elems;
-      bool Changed = false;
-      for (const Term *E : Tu->getElements()) {
-        const Term *NE = remapNths(E, Name, Remap);
-        Changed |= NE != E;
-        Elems.push_back(NE);
-      }
-      return Changed ? Arena.makeTuple(std::move(Elems)) : T;
+    default:
+      break;
     }
-    case TermKind::If: {
-      const auto *I = cast<IfTerm>(T);
-      const Term *C = remapNths(I->getCond(), Name, Remap);
-      const Term *Th = remapNths(I->getThen(), Name, Remap);
-      const Term *El = remapNths(I->getElse(), Name, Remap);
-      if (C == I->getCond() && Th == I->getThen() && El == I->getElse())
-        return T;
-      return Arena.makeIf(C, Th, El);
-    }
-    case TermKind::Fix: {
-      const auto *F = cast<FixTerm>(T);
-      const Term *Op = remapNths(F->getOperand(), Name, Remap);
-      return Op == F->getOperand() ? T : Arena.makeFix(Op);
-    }
-    }
-    return T;
+    return mapChildren(Arena, T, Reindex);
   }
 
   static std::vector<size_t> deadParams(const AbsTerm *Abs) {
@@ -1068,11 +772,6 @@ private:
 
   const Term *visit(const Term *T) {
     switch (T->getKind()) {
-    case TermKind::IntLit:
-    case TermKind::BoolLit:
-    case TermKind::Var:
-      return T;
-
     case TermKind::App: {
       const auto *A = cast<AppTerm>(T);
       const Term *Fn = visit(A->getFn());
@@ -1154,59 +853,9 @@ private:
       return Arena.makeLet(L->getName(), Init, Body);
     }
 
-    case TermKind::Abs: {
-      const auto *A = cast<AbsTerm>(T);
-      const Term *Body = visit(A->getBody());
-      return Body == A->getBody() ? T : Arena.makeAbs(A->getParams(), Body);
+    default:
+      return mapChildren(Arena, T, [this](const Term *C) { return visit(C); });
     }
-
-    case TermKind::TyAbs: {
-      const auto *A = cast<TyAbsTerm>(T);
-      const Term *Body = visit(A->getBody());
-      return Body == A->getBody() ? T : Arena.makeTyAbs(A->getParams(), Body);
-    }
-
-    case TermKind::TyApp: {
-      const auto *A = cast<TyAppTerm>(T);
-      const Term *Fn = visit(A->getFn());
-      return Fn == A->getFn() ? T : Arena.makeTyApp(Fn, A->getTypeArgs());
-    }
-
-    case TermKind::Tuple: {
-      const auto *Tu = cast<TupleTerm>(T);
-      std::vector<const Term *> Elems;
-      bool Changed = false;
-      for (const Term *E : Tu->getElements()) {
-        const Term *NE = visit(E);
-        Changed |= NE != E;
-        Elems.push_back(NE);
-      }
-      return Changed ? Arena.makeTuple(std::move(Elems)) : T;
-    }
-
-    case TermKind::Nth: {
-      const auto *N = cast<NthTerm>(T);
-      const Term *Tu = visit(N->getTuple());
-      return Tu == N->getTuple() ? T : Arena.makeNth(Tu, N->getIndex());
-    }
-
-    case TermKind::If: {
-      const auto *I = cast<IfTerm>(T);
-      const Term *C = visit(I->getCond());
-      const Term *Th = visit(I->getThen());
-      const Term *El = visit(I->getElse());
-      if (C == I->getCond() && Th == I->getThen() && El == I->getElse())
-        return T;
-      return Arena.makeIf(C, Th, El);
-    }
-
-    case TermKind::Fix: {
-      const auto *F = cast<FixTerm>(T);
-      const Term *Op = visit(F->getOperand());
-      return Op == F->getOperand() ? T : Arena.makeFix(Op);
-    }
-    }
-    return T;
   }
 
   TermArena &Arena;

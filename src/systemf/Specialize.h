@@ -23,9 +23,11 @@
 ///   * eliminate-dead-dicts drops dictionary parameters and record
 ///     fields left unused once the members are devirtualized.
 ///
-/// Each pass is one sharing-preserving traversal and is run as a named
-/// pass of the Optimize.cpp pipeline, so the PR-4 translation validator
-/// re-typechecks every one of its outputs.
+/// Each pass is one sharing-preserving traversal that spells out only
+/// the term kinds it rewrites or binds names at; every other node goes
+/// through TermOps.h's mapChildren and allChildren.  Each runs as a
+/// named pass of the Optimize.cpp pipeline, so the translation
+/// validator re-typechecks every one of its outputs.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- systemf/TermOps.cpp - Shared term rewriting utilities --------------===//
+//===- systemf/TermOps.cpp - Shared term traversal and rewriting ----------===//
 //
 // Part of the fgc project: a reproduction of "Essential Language Support
 // for Generic Programming" (Siek & Lumsdaine, PLDI 2005).
@@ -6,11 +6,35 @@
 //===----------------------------------------------------------------------===//
 
 #include "systemf/TermOps.h"
+#include <algorithm>
 #include <cassert>
-#include <vector>
 
 using namespace fg;
 using namespace fg::sf;
+
+namespace {
+
+bool contains(const std::vector<std::string> &Names, const std::string &N) {
+  return std::find(Names.begin(), Names.end(), N) != Names.end();
+}
+
+} // namespace
+
+size_t fg::sf::countTermNodes(const Term *T) {
+  size_t N = 1;
+  allChildren(T, [&](const Term *C) {
+    N += countTermNodes(C);
+    return true;
+  });
+  return N;
+}
+
+bool fg::sf::bindsParam(const AbsTerm *A, const std::string &Name) {
+  for (const ParamBinding &P : A->getParams())
+    if (P.Name == Name)
+      return true;
+  return false;
+}
 
 bool fg::sf::isPureTerm(const Term *T) {
   switch (T->getKind()) {
@@ -36,104 +60,58 @@ bool fg::sf::isPureTerm(const Term *T) {
 
 namespace {
 
-void freeVarsImpl(const Term *T, std::unordered_set<std::string> &Bound,
-                  std::unordered_set<std::string> &Out) {
+/// \p Bound is the stack of binders in scope (innermost last).
+void freeVarsImpl(const Term *T, std::vector<std::string> &Bound,
+                  std::vector<std::string> &Out) {
   switch (T->getKind()) {
-  case TermKind::IntLit:
-  case TermKind::BoolLit:
-    return;
   case TermKind::Var: {
     const std::string &N = cast<VarTerm>(T)->getName();
-    if (!Bound.count(N))
-      Out.insert(N);
+    if (!contains(Bound, N) && !contains(Out, N))
+      Out.push_back(N);
     return;
   }
   case TermKind::Abs: {
     const auto *A = cast<AbsTerm>(T);
-    std::vector<std::string> Added;
+    size_t Mark = Bound.size();
     for (const ParamBinding &P : A->getParams())
-      if (Bound.insert(P.Name).second)
-        Added.push_back(P.Name);
+      Bound.push_back(P.Name);
     freeVarsImpl(A->getBody(), Bound, Out);
-    for (const std::string &N : Added)
-      Bound.erase(N);
+    Bound.resize(Mark);
     return;
   }
-  case TermKind::App: {
-    const auto *A = cast<AppTerm>(T);
-    freeVarsImpl(A->getFn(), Bound, Out);
-    for (const Term *Arg : A->getArgs())
-      freeVarsImpl(Arg, Bound, Out);
-    return;
-  }
-  case TermKind::TyAbs:
-    freeVarsImpl(cast<TyAbsTerm>(T)->getBody(), Bound, Out);
-    return;
-  case TermKind::TyApp:
-    freeVarsImpl(cast<TyAppTerm>(T)->getFn(), Bound, Out);
-    return;
   case TermKind::Let: {
     const auto *L = cast<LetTerm>(T);
     freeVarsImpl(L->getInit(), Bound, Out);
-    bool Added = Bound.insert(L->getName()).second;
+    Bound.push_back(L->getName());
     freeVarsImpl(L->getBody(), Bound, Out);
-    if (Added)
-      Bound.erase(L->getName());
+    Bound.pop_back();
     return;
   }
-  case TermKind::Tuple:
-    for (const Term *E : cast<TupleTerm>(T)->getElements())
-      freeVarsImpl(E, Bound, Out);
-    return;
-  case TermKind::Nth:
-    freeVarsImpl(cast<NthTerm>(T)->getTuple(), Bound, Out);
-    return;
-  case TermKind::If: {
-    const auto *I = cast<IfTerm>(T);
-    freeVarsImpl(I->getCond(), Bound, Out);
-    freeVarsImpl(I->getThen(), Bound, Out);
-    freeVarsImpl(I->getElse(), Bound, Out);
-    return;
-  }
-  case TermKind::Fix:
-    freeVarsImpl(cast<FixTerm>(T)->getOperand(), Bound, Out);
+  default:
+    allChildren(T, [&](const Term *C) {
+      freeVarsImpl(C, Bound, Out);
+      return true;
+    });
     return;
   }
 }
 
 } // namespace
 
-std::unordered_set<std::string> fg::sf::freeTermVars(const Term *T) {
-  std::unordered_set<std::string> Bound, Out;
+std::vector<std::string> fg::sf::freeTermVars(const Term *T) {
+  std::vector<std::string> Bound, Out;
   freeVarsImpl(T, Bound, Out);
   return Out;
 }
 
 unsigned fg::sf::countVarOccurrences(const Term *T, const std::string &Name) {
   switch (T->getKind()) {
-  case TermKind::IntLit:
-  case TermKind::BoolLit:
-    return 0;
   case TermKind::Var:
     return cast<VarTerm>(T)->getName() == Name ? 1 : 0;
-  case TermKind::Abs: {
-    const auto *A = cast<AbsTerm>(T);
-    for (const ParamBinding &P : A->getParams())
-      if (P.Name == Name)
-        return 0; // Shadowed.
-    return countVarOccurrences(A->getBody(), Name);
-  }
-  case TermKind::App: {
-    const auto *A = cast<AppTerm>(T);
-    unsigned N = countVarOccurrences(A->getFn(), Name);
-    for (const Term *Arg : A->getArgs())
-      N += countVarOccurrences(Arg, Name);
-    return N;
-  }
-  case TermKind::TyAbs:
-    return countVarOccurrences(cast<TyAbsTerm>(T)->getBody(), Name);
-  case TermKind::TyApp:
-    return countVarOccurrences(cast<TyAppTerm>(T)->getFn(), Name);
+  case TermKind::Abs:
+    if (bindsParam(cast<AbsTerm>(T), Name))
+      return 0; // Shadowed.
+    break;
   case TermKind::Let: {
     const auto *L = cast<LetTerm>(T);
     unsigned N = countVarOccurrences(L->getInit(), Name);
@@ -141,33 +119,23 @@ unsigned fg::sf::countVarOccurrences(const Term *T, const std::string &Name) {
       N += countVarOccurrences(L->getBody(), Name);
     return N;
   }
-  case TermKind::Tuple: {
-    unsigned N = 0;
-    for (const Term *E : cast<TupleTerm>(T)->getElements())
-      N += countVarOccurrences(E, Name);
-    return N;
+  default:
+    break;
   }
-  case TermKind::Nth:
-    return countVarOccurrences(cast<NthTerm>(T)->getTuple(), Name);
-  case TermKind::If: {
-    const auto *I = cast<IfTerm>(T);
-    return countVarOccurrences(I->getCond(), Name) +
-           countVarOccurrences(I->getThen(), Name) +
-           countVarOccurrences(I->getElse(), Name);
-  }
-  case TermKind::Fix:
-    return countVarOccurrences(cast<FixTerm>(T)->getOperand(), Name);
-  }
-  return 0;
+  unsigned N = 0;
+  allChildren(T, [&](const Term *C) {
+    N += countVarOccurrences(C, Name);
+    return true;
+  });
+  return N;
 }
 
 const Term *fg::sf::substituteTermTypes(TermArena &Arena, TypeContext &Ctx,
                                         const Term *T, const TypeSubst &S) {
+  auto Subst = [&](const Term *C) {
+    return substituteTermTypes(Arena, Ctx, C, S);
+  };
   switch (T->getKind()) {
-  case TermKind::IntLit:
-  case TermKind::BoolLit:
-  case TermKind::Var:
-    return T;
   case TermKind::Abs: {
     const auto *A = cast<AbsTerm>(T);
     std::vector<ParamBinding> Params;
@@ -177,33 +145,19 @@ const Term *fg::sf::substituteTermTypes(TermArena &Arena, TypeContext &Ctx,
       Changed |= NT != P.Ty;
       Params.push_back({P.Name, NT});
     }
-    const Term *Body = substituteTermTypes(Arena, Ctx, A->getBody(), S);
+    const Term *Body = Subst(A->getBody());
     if (!Changed && Body == A->getBody())
       return T;
     return Arena.makeAbs(std::move(Params), Body);
   }
-  case TermKind::App: {
-    const auto *A = cast<AppTerm>(T);
-    const Term *Fn = substituteTermTypes(Arena, Ctx, A->getFn(), S);
-    std::vector<const Term *> Args;
-    bool Changed = Fn != A->getFn();
-    for (const Term *Arg : A->getArgs()) {
-      const Term *NA = substituteTermTypes(Arena, Ctx, Arg, S);
-      Changed |= NA != Arg;
-      Args.push_back(NA);
-    }
-    return Changed ? Arena.makeApp(Fn, std::move(Args)) : T;
-  }
-  case TermKind::TyAbs: {
-    const auto *A = cast<TyAbsTerm>(T);
-    for ([[maybe_unused]] const TypeParamDecl &P : A->getParams())
+  case TermKind::TyAbs:
+    for ([[maybe_unused]] const TypeParamDecl &P :
+         cast<TyAbsTerm>(T)->getParams())
       assert(!S.count(P.Id) && "type substitution would capture");
-    const Term *Body = substituteTermTypes(Arena, Ctx, A->getBody(), S);
-    return Body == A->getBody() ? T : Arena.makeTyAbs(A->getParams(), Body);
-  }
+    break;
   case TermKind::TyApp: {
     const auto *A = cast<TyAppTerm>(T);
-    const Term *Fn = substituteTermTypes(Arena, Ctx, A->getFn(), S);
+    const Term *Fn = Subst(A->getFn());
     std::vector<const Type *> Args;
     bool Changed = Fn != A->getFn();
     for (const Type *Arg : A->getTypeArgs()) {
@@ -213,67 +167,31 @@ const Term *fg::sf::substituteTermTypes(TermArena &Arena, TypeContext &Ctx,
     }
     return Changed ? Arena.makeTyApp(Fn, std::move(Args)) : T;
   }
-  case TermKind::Let: {
-    const auto *L = cast<LetTerm>(T);
-    const Term *Init = substituteTermTypes(Arena, Ctx, L->getInit(), S);
-    const Term *Body = substituteTermTypes(Arena, Ctx, L->getBody(), S);
-    if (Init == L->getInit() && Body == L->getBody())
-      return T;
-    return Arena.makeLet(L->getName(), Init, Body);
+  default:
+    break;
   }
-  case TermKind::Tuple: {
-    const auto *Tu = cast<TupleTerm>(T);
-    std::vector<const Term *> Elems;
-    bool Changed = false;
-    for (const Term *E : Tu->getElements()) {
-      const Term *NE = substituteTermTypes(Arena, Ctx, E, S);
-      Changed |= NE != E;
-      Elems.push_back(NE);
-    }
-    return Changed ? Arena.makeTuple(std::move(Elems)) : T;
-  }
-  case TermKind::Nth: {
-    const auto *N = cast<NthTerm>(T);
-    const Term *Tu = substituteTermTypes(Arena, Ctx, N->getTuple(), S);
-    return Tu == N->getTuple() ? T : Arena.makeNth(Tu, N->getIndex());
-  }
-  case TermKind::If: {
-    const auto *I = cast<IfTerm>(T);
-    const Term *C = substituteTermTypes(Arena, Ctx, I->getCond(), S);
-    const Term *Th = substituteTermTypes(Arena, Ctx, I->getThen(), S);
-    const Term *El = substituteTermTypes(Arena, Ctx, I->getElse(), S);
-    if (C == I->getCond() && Th == I->getThen() && El == I->getElse())
-      return T;
-    return Arena.makeIf(C, Th, El);
-  }
-  case TermKind::Fix: {
-    const auto *F = cast<FixTerm>(T);
-    const Term *Op = substituteTermTypes(Arena, Ctx, F->getOperand(), S);
-    return Op == F->getOperand() ? T : Arena.makeFix(Op);
-  }
-  }
-  return T;
+  return mapChildren(Arena, T, Subst);
 }
 
 const Term *
 fg::sf::substituteTermVar(TermArena &Arena, const Term *T,
                           const std::string &Name, const Term *Value,
-                          const std::unordered_set<std::string> &ValueFree,
+                          const std::vector<std::string> &ValueFree,
                           unsigned &RenameCounter, const char *Suffix) {
   auto Fresh = [&](const std::string &Base) {
     return Base + Suffix + std::to_string(RenameCounter++);
   };
+  auto Subst = [&](const Term *C) {
+    return substituteTermVar(Arena, C, Name, Value, ValueFree, RenameCounter,
+                             Suffix);
+  };
   switch (T->getKind()) {
-  case TermKind::IntLit:
-  case TermKind::BoolLit:
-    return T;
   case TermKind::Var:
     return cast<VarTerm>(T)->getName() == Name ? Value : T;
   case TermKind::Abs: {
     const auto *A = cast<AbsTerm>(T);
-    for (const ParamBinding &P : A->getParams())
-      if (P.Name == Name)
-        return T; // Shadowed: substitution stops here.
+    if (bindsParam(A, Name))
+      return T; // Shadowed: substitution stops here.
     // Rename parameters that would capture free variables of Value.
     // Walk the parameter list back to front: with duplicate names the
     // *last* binding owns the body occurrences (evaluation binds
@@ -283,50 +201,21 @@ fg::sf::substituteTermVar(TermArena &Arena, const Term *T,
     const Term *Body = A->getBody();
     for (size_t I = Params.size(); I-- != 0;) {
       ParamBinding &P = Params[I];
-      if (!ValueFree.count(P.Name))
+      if (!contains(ValueFree, P.Name))
         continue;
       std::string NewName = Fresh(P.Name);
       Body = substituteTermVar(Arena, Body, P.Name, Arena.makeVar(NewName),
                                {}, RenameCounter, Suffix);
       P.Name = NewName;
     }
-    const Term *NewBody =
-        substituteTermVar(Arena, Body, Name, Value, ValueFree, RenameCounter,
-                          Suffix);
+    const Term *NewBody = Subst(Body);
     if (NewBody == A->getBody() && Body == A->getBody())
       return T;
     return Arena.makeAbs(std::move(Params), NewBody);
   }
-  case TermKind::App: {
-    const auto *A = cast<AppTerm>(T);
-    const Term *Fn = substituteTermVar(Arena, A->getFn(), Name, Value,
-                                       ValueFree, RenameCounter, Suffix);
-    std::vector<const Term *> Args;
-    bool Changed = Fn != A->getFn();
-    for (const Term *Arg : A->getArgs()) {
-      const Term *NA = substituteTermVar(Arena, Arg, Name, Value, ValueFree,
-                                         RenameCounter, Suffix);
-      Changed |= NA != Arg;
-      Args.push_back(NA);
-    }
-    return Changed ? Arena.makeApp(Fn, std::move(Args)) : T;
-  }
-  case TermKind::TyAbs: {
-    const auto *A = cast<TyAbsTerm>(T);
-    const Term *Body = substituteTermVar(Arena, A->getBody(), Name, Value,
-                                         ValueFree, RenameCounter, Suffix);
-    return Body == A->getBody() ? T : Arena.makeTyAbs(A->getParams(), Body);
-  }
-  case TermKind::TyApp: {
-    const auto *A = cast<TyAppTerm>(T);
-    const Term *Fn = substituteTermVar(Arena, A->getFn(), Name, Value,
-                                       ValueFree, RenameCounter, Suffix);
-    return Fn == A->getFn() ? T : Arena.makeTyApp(Fn, A->getTypeArgs());
-  }
   case TermKind::Let: {
     const auto *L = cast<LetTerm>(T);
-    const Term *Init = substituteTermVar(Arena, L->getInit(), Name, Value,
-                                         ValueFree, RenameCounter, Suffix);
+    const Term *Init = Subst(L->getInit());
     if (L->getName() == Name) {
       // Shadowed in the body.
       return Init == L->getInit()
@@ -335,56 +224,20 @@ fg::sf::substituteTermVar(TermArena &Arena, const Term *T,
     }
     std::string BoundName = L->getName();
     const Term *Body = L->getBody();
-    if (ValueFree.count(BoundName)) {
+    if (contains(ValueFree, BoundName)) {
       std::string NewName = Fresh(BoundName);
       Body = substituteTermVar(Arena, Body, BoundName,
                                Arena.makeVar(NewName), {}, RenameCounter,
                                Suffix);
       BoundName = NewName;
     }
-    const Term *NewBody = substituteTermVar(Arena, Body, Name, Value,
-                                            ValueFree, RenameCounter, Suffix);
+    const Term *NewBody = Subst(Body);
     if (Init == L->getInit() && NewBody == L->getBody() &&
         BoundName == L->getName())
       return T;
     return Arena.makeLet(BoundName, Init, NewBody);
   }
-  case TermKind::Tuple: {
-    const auto *Tu = cast<TupleTerm>(T);
-    std::vector<const Term *> Elems;
-    bool Changed = false;
-    for (const Term *E : Tu->getElements()) {
-      const Term *NE = substituteTermVar(Arena, E, Name, Value, ValueFree,
-                                         RenameCounter, Suffix);
-      Changed |= NE != E;
-      Elems.push_back(NE);
-    }
-    return Changed ? Arena.makeTuple(std::move(Elems)) : T;
+  default:
+    return mapChildren(Arena, T, Subst);
   }
-  case TermKind::Nth: {
-    const auto *N = cast<NthTerm>(T);
-    const Term *Tu = substituteTermVar(Arena, N->getTuple(), Name, Value,
-                                       ValueFree, RenameCounter, Suffix);
-    return Tu == N->getTuple() ? T : Arena.makeNth(Tu, N->getIndex());
-  }
-  case TermKind::If: {
-    const auto *I = cast<IfTerm>(T);
-    const Term *C = substituteTermVar(Arena, I->getCond(), Name, Value,
-                                      ValueFree, RenameCounter, Suffix);
-    const Term *Th = substituteTermVar(Arena, I->getThen(), Name, Value,
-                                       ValueFree, RenameCounter, Suffix);
-    const Term *El = substituteTermVar(Arena, I->getElse(), Name, Value,
-                                       ValueFree, RenameCounter, Suffix);
-    if (C == I->getCond() && Th == I->getThen() && El == I->getElse())
-      return T;
-    return Arena.makeIf(C, Th, El);
-  }
-  case TermKind::Fix: {
-    const auto *F = cast<FixTerm>(T);
-    const Term *Op = substituteTermVar(Arena, F->getOperand(), Name, Value,
-                                       ValueFree, RenameCounter, Suffix);
-    return Op == F->getOperand() ? T : Arena.makeFix(Op);
-  }
-  }
-  return T;
 }

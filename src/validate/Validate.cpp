@@ -7,6 +7,7 @@
 
 #include "validate/Validate.h"
 #include "support/Stats.h"
+#include "systemf/TermOps.h"
 #include <atomic>
 #include <cstring>
 
@@ -77,11 +78,6 @@ struct IllTypedSearch {
 
   const sf::Term *findInChildren(const sf::Term *T) {
     switch (T->getKind()) {
-    case sf::TermKind::IntLit:
-    case sf::TermKind::BoolLit:
-    case sf::TermKind::Var:
-      return nullptr;
-
     case sf::TermKind::Abs: {
       const auto *A = cast<sf::AbsTerm>(T);
       size_t Saved = Env.size();
@@ -92,16 +88,6 @@ struct IllTypedSearch {
       return R;
     }
 
-    case sf::TermKind::App: {
-      const auto *A = cast<sf::AppTerm>(T);
-      if (const sf::Term *R = visit(A->getFn()))
-        return R;
-      for (const sf::Term *Arg : A->getArgs())
-        if (const sf::Term *R = visit(Arg))
-          return R;
-      return nullptr;
-    }
-
     case sf::TermKind::TyAbs: {
       const auto *A = cast<sf::TyAbsTerm>(T);
       size_t Saved = Open.size();
@@ -110,9 +96,6 @@ struct IllTypedSearch {
       Open.resize(Saved);
       return R;
     }
-
-    case sf::TermKind::TyApp:
-      return visit(cast<sf::TyAppTerm>(T)->getFn());
 
     case sf::TermKind::Let: {
       const auto *L = cast<sf::LetTerm>(T);
@@ -128,29 +111,15 @@ struct IllTypedSearch {
       return R;
     }
 
-    case sf::TermKind::Tuple: {
-      for (const sf::Term *E : cast<sf::TupleTerm>(T)->getElements())
-        if (const sf::Term *R = visit(E))
-          return R;
-      return nullptr;
+    default: {
+      const sf::Term *R = nullptr;
+      sf::allChildren(T, [&](const sf::Term *C) {
+        R = visit(C);
+        return R == nullptr;
+      });
+      return R;
     }
-
-    case sf::TermKind::Nth:
-      return visit(cast<sf::NthTerm>(T)->getTuple());
-
-    case sf::TermKind::If: {
-      const auto *I = cast<sf::IfTerm>(T);
-      if (const sf::Term *R = visit(I->getCond()))
-        return R;
-      if (const sf::Term *R = visit(I->getThen()))
-        return R;
-      return visit(I->getElse());
     }
-
-    case sf::TermKind::Fix:
-      return visit(cast<sf::FixTerm>(T)->getOperand());
-    }
-    return nullptr;
   }
 };
 

@@ -174,6 +174,10 @@ TEST(AotCacheTest, EmitterVersionSaltsTheArtifactKey) {
                                   aot::EmitterVersion));
   EXPECT_NE(Now, aot::artifactKey(Cpp, "/usr/bin/c++", "-O3",
                                   aot::EmitterVersion));
+  // The value itself is pinned: a changed hash function or seed would
+  // make every user's AOT build cache miss.
+  EXPECT_EQ(aot::artifactKey(Cpp, "/usr/bin/c++", "-O2", 2),
+            "8df82381a2383992");
 }
 
 TEST(AotCacheTest, KeepCppLeavesTheGeneratedSource) {

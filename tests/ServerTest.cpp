@@ -15,7 +15,8 @@
 //   * session isolation: concurrent sessions share artifacts but never
 //     declaration scopes;
 //   * the real Unix-socket daemon under 16 concurrent client threads,
-//     and on a request nested past the default thread stack.
+//     on a request nested past the default thread stack, and stopped
+//     by one client while another sits idle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,12 +27,15 @@
 #include "server/Session.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <thread>
 #include <unistd.h>
@@ -1030,12 +1034,54 @@ TEST(ServerTest, DeeplyNestedCheckLeavesTheDaemonUp) {
     EXPECT_EQ(KR->find("type")->asString(), "int");
     Json V = C.request("{\"id\":2,\"method\":\"version\"}");
     EXPECT_TRUE(V.find("ok") && V.find("ok")->asBool()) << V.write();
-  } // Closed: stop() waits for every open connection to end.
+  }
 
   Client Next;
   ASSERT_TRUE(Next.connect(Srv.socketPath()));
   Json R = Next.request("{\"id\":3,\"method\":\"shutdown\"}");
   EXPECT_TRUE(R.find("ok") && R.find("ok")->asBool()) << R.write();
+  Srv.wait();
+  Srv.stop();
+}
+
+// A shutdown from one client stops the daemon while another client is
+// connected and idle: the idle client reads EOF, and wait() and stop()
+// return without that client closing first.
+TEST(ServerTest, ShutdownEndsIdleSessions) {
+  ServerOptions Opts;
+  Opts.SocketPath = (std::filesystem::temp_directory_path() /
+                     ("fgcd-idle-" + std::to_string(::getpid()) + ".sock"))
+                        .string();
+  Opts.Threads = 2;
+  Server Srv(Opts);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(Error)) << Error;
+
+  Client Idle;
+  ASSERT_TRUE(Idle.connect(Srv.socketPath()));
+  Json V = Idle.request("{\"id\":1,\"method\":\"version\"}");
+  ASSERT_TRUE(V.find("ok") && V.find("ok")->asBool()) << V.write();
+  // Bounded, so a daemon that never ends the session fails the test
+  // instead of hanging it.
+  timeval Timeout{5, 0};
+  ASSERT_EQ(::setsockopt(Idle.Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout,
+                         sizeof(Timeout)),
+            0);
+
+  Client Stopper;
+  ASSERT_TRUE(Stopper.connect(Srv.socketPath()));
+  Json R = Stopper.request("{\"id\":2,\"method\":\"shutdown\"}");
+  EXPECT_TRUE(R.find("ok") && R.find("ok")->asBool()) << R.write();
+
+  char Byte;
+  ssize_t N = ::recv(Idle.Fd, &Byte, 1, 0);
+  EXPECT_EQ(N, 0) << "the idle session was not ended by the shutdown"
+                  << (N < 0 ? std::string(": ") + std::strerror(errno) : "");
+  if (N != 0) {
+    // Let the old behaviour's stop() join its worker.
+    ::close(Idle.Fd);
+    Idle.Fd = -1;
+  }
   Srv.wait();
   Srv.stop();
 }

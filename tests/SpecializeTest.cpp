@@ -51,15 +51,13 @@ const char *LambdaWitnessSource =
 /// the stats and printed specialized term via out-params.
 void specializeAndCheck(const std::string &Source, sf::SpecializeLevel Level,
                         sf::OptimizeStats &Stats,
-                        std::string *PrintedOut = nullptr,
-                        size_t MaxTypeSize = 48) {
+                        std::string *PrintedOut = nullptr) {
   Frontend FE;
   CompileOutput Out = FE.compile("spec.fg", Source);
   ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
 
   sf::OptimizeOptions Opts;
   Opts.Specialize = Level;
-  Opts.MaxSpecializeTypeSize = MaxTypeSize;
   const sf::Term *Spec = FE.optimize(Out, &Stats, Opts);
   ASSERT_NE(Spec, nullptr);
 
@@ -81,6 +79,19 @@ void specializeAndCheck(const std::string &Source, sf::SpecializeLevel Level,
 
   if (PrintedOut)
     *PrintedOut = sf::termToString(Spec);
+}
+
+/// `f` applied twice at an N-element int tuple type, whose structural
+/// size is N + 1.
+std::string twoApplicationsAtIntTuple(size_t N) {
+  std::string Ty, Val;
+  for (size_t I = 0; I != N; ++I) {
+    Ty += I ? " * int" : "int";
+    Val += (I ? ", " : "") + std::to_string(I);
+  }
+  std::string App = "f[(" + Ty + ")]((" + Val + "))";
+  return "let f = (forall t. fun(x : t). (x, x)) in (" + App + ", " + App +
+         ")";
 }
 
 } // namespace
@@ -136,16 +147,21 @@ TEST(SpecializeTest, LetBetaRemovesResidualWitnessApplication) {
 }
 
 TEST(SpecializeTest, BudgetDeclinesOversizedTypeArguments) {
-  // With a tiny budget even f[int] at a pair type is declined; the
-  // program must still optimize to the right value through the
-  // baseline passes.
-  sf::OptimizeStats S;
-  specializeAndCheck("let f = (forall t. fun(x : t). (x, x)) in "
-                     "(f[(int * int)]((1, 2)), f[(int * int)]((3, 4)))",
-                     sf::SpecializeLevel::Full, S, nullptr,
-                     /*MaxTypeSize=*/1);
-  EXPECT_GE(S.BudgetHits, 1u);
-  EXPECT_EQ(S.ClonesCreated, 0u);
+  // The per-application cap is a summed type size of 48.  At the cap
+  // the first application clones f and the second reuses the clone; one
+  // past it both are declined, and the program still optimizes to the
+  // right value through the baseline passes.
+  sf::OptimizeStats AtCap;
+  specializeAndCheck(twoApplicationsAtIntTuple(47), sf::SpecializeLevel::Full,
+                     AtCap);
+  EXPECT_EQ(AtCap.ClonesCreated, 1u);
+  EXPECT_EQ(AtCap.BudgetHits, 0u);
+
+  sf::OptimizeStats PastCap;
+  specializeAndCheck(twoApplicationsAtIntTuple(48), sf::SpecializeLevel::Full,
+                     PastCap);
+  EXPECT_EQ(PastCap.ClonesCreated, 0u);
+  EXPECT_EQ(PastCap.BudgetHits, 2u);
 }
 
 TEST(SpecializeTest, DeadDictEliminationDropsUnusedParamsAndFields) {
