@@ -192,9 +192,11 @@ void printReproductionTable() {
               "paper", "measured", "status");
   Frontend FE;
   for (const Figure &F : figures()) {
-    sf::EvalResult R = FE.runProgram(F.Id, F.Source);
-    std::string Measured = R.ok() ? sf::valueToString(R.Val)
-                                  : ("ERROR: " + R.Error);
+    CompileOutput Out = FE.compile(F.Id, F.Source);
+    ExecResult R = execute(FE, Out, ExecRequest());
+    std::string Measured = !Out.Success ? "ERROR: " + Out.ErrorMessage
+                           : R.ok()     ? sf::valueToString(R.Val)
+                                        : "ERROR: " + R.Error;
     std::printf("%-8s %-55s %-22s %-22s %s\n", F.Id, F.What, F.Expected,
                 Measured.c_str(),
                 Measured == F.Expected ? "MATCH" : "MISMATCH");

@@ -8,17 +8,53 @@
 /// \file
 /// The paper's running example (Figure 1): a generic `square` that works
 /// for any type modelling a `Number` concept.  This walks through every
-/// stage the library exposes:
+/// stage the library exposes, through its two entry points, fg::open
+/// and fg::execute:
 ///
-///   source text -> parse -> typecheck/translate -> verify in System F
-///   -> evaluate
+///   source text -> open -> parse -> typecheck/translate
+///   -> verify in System F -> evaluate
+///
+/// ctest runs it (example_quickstart) and checks both values.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "modules/Loader.h"
 #include "syntax/Frontend.h"
 #include <iostream>
 
 using namespace fg;
+
+namespace {
+
+/// Opens \p Source under the buffer name \p Name and compiles it into
+/// \p FE, printing the diagnostics when it does not compile.  A file
+/// opens the same way, with OpenRequest::Path set instead.
+CompileOutput compileSource(Frontend &FE, const std::string &Name,
+                            const std::string &Source) {
+  OpenRequest Req;
+  Req.Name = Name;
+  Req.Source = Source;
+  std::string Diagnostics;
+  CompileOutput Out =
+      fg::open(std::move(Req)).compile(FE, CompileOptions(), Diagnostics);
+  if (!Out.Success)
+    std::cerr << Diagnostics;
+  return Out;
+}
+
+/// Runs \p Out on the tree walker at -O0 (ExecRequest's defaults) and
+/// prints its value after \p Label; false on a runtime error.
+bool run(Frontend &FE, CompileOutput &Out, const std::string &Label) {
+  ExecResult R = execute(FE, Out, ExecRequest());
+  if (!R.ok()) {
+    std::cerr << "runtime error: " << R.Error << "\n";
+    return false;
+  }
+  std::cout << Label << sf::valueToString(R.Val) << "\n";
+  return true;
+}
+
+} // namespace
 
 int main() {
   // Stage 0: the program.  Compare with the four variants in the
@@ -39,11 +75,9 @@ int main() {
 
   // Stage 1+2: parse and typecheck; the checker simultaneously emits
   // the dictionary-passing System F translation (paper Figure 9).
-  CompileOutput Out = FE.compile("quickstart.fg", Source);
-  if (!Out.Success) {
-    std::cerr << FE.getDiags().render();
+  CompileOutput Out = compileSource(FE, "quickstart.fg", Source);
+  if (!Out.Success)
     return 1;
-  }
 
   std::cout << "F_G type:       " << typeToString(Out.FgType) << "\n";
   std::cout << "System F term:  " << sf::termToString(Out.SfTerm) << "\n";
@@ -54,12 +88,8 @@ int main() {
             << "   (translation verified: Theorem 1)\n";
 
   // Stage 4: run it.
-  sf::EvalResult R = FE.run(Out);
-  if (!R.ok()) {
-    std::cerr << "runtime error: " << R.Error << "\n";
+  if (!run(FE, Out, "value:          "))
     return 1;
-  }
-  std::cout << "value:          " << sf::valueToString(R.Val) << "\n";
 
   // The same generic function reused at another type: make bool a
   // Number with conjunction as multiplication.
@@ -70,7 +100,8 @@ int main() {
     model Number<bool> { mult = band; } in
     square[bool](true)
   )";
-  sf::EvalResult R2 = FE.runProgram("quickstart2.fg", Source2);
-  std::cout << "square[bool](true) = " << sf::valueToString(R2.Val) << "\n";
+  CompileOutput Out2 = compileSource(FE, "quickstart2.fg", Source2);
+  if (!Out2.Success || !run(FE, Out2, "square[bool](true) = "))
+    return 1;
   return 0;
 }

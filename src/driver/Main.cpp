@@ -9,10 +9,9 @@
 /// The fgc command-line tool: compiles and runs one F_G program (a file,
 /// or `-` for stdin), batch-checks a module graph (`--batch`), fuzzes
 /// the validators (`--fuzz`) or generates a module corpus
-/// (`--gen-corpus`); `fgc --help` lists the options.  A single file that
-/// declares `module`/`import` is compiled through the module loader: its
-/// imports are resolved and linked into one program, which then runs
-/// through the usual pipeline.
+/// (`--gen-corpus`); `fgc --help` lists the options.  A single file is
+/// opened with fg::open: its imports are resolved and linked into one
+/// program, which then runs through fg::execute.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +29,6 @@
 #include "vm/Emit.h"
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -388,61 +386,26 @@ int fgcMain(int Argc, char **Argv) {
   if (Batch)
     return runBatchMode(Paths, SearchPaths, Jobs, CacheDir, Opts);
 
-  const std::string &Path = Paths[0];
-  std::string Source;
-  if (Path == "-") {
+  OpenRequest Input;
+  if (Paths[0] == "-") {
     std::ostringstream SS;
     SS << std::cin.rdbuf();
-    Source = SS.str();
+    Input.Source = SS.str();
+    Input.Name = "<stdin>";
   } else {
-    std::ifstream In(Path);
-    if (!In) {
-      std::cerr << "fgc: error: cannot open `" << Path << "`\n";
-      return 1;
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Source = SS.str();
+    Input.Path = Paths[0];
+    Input.SearchPaths = SearchPaths;
   }
-
+  OpenedProgram Program = fg::open(std::move(Input));
+  if (!Program.ok()) {
+    std::cerr << "fgc: error: " << Program.error() << "\n";
+    return 1;
+  }
   Frontend FE;
-  CompileOutput Out;
-
-  // A file with a module header routes through the loader: imports are
-  // resolved and the graph is linked into one program, which then flows
-  // through the same pipeline as a plain file.
-  ModuleHeader Header;
-  std::string HeaderError;
-  bool IsModule = false;
-  if (Path != "-") {
-    if (!modules::ModuleLoader::scanHeader(Path, Source, Header,
-                                           HeaderError)) {
-      std::cerr << "fgc: error: " << HeaderError << "\n";
-      return 1;
-    }
-    IsModule = Header.HasModuleDecl || !Header.Imports.empty();
-  }
-  if (IsModule) {
-    modules::ModuleLoader::Options LO;
-    LO.SearchPaths = SearchPaths;
-    modules::ModuleLoader Loader(LO);
-    std::string Root, Error;
-    if (!Loader.loadFile(Path, Root, Error)) {
-      std::cerr << "fgc: error: " << Error << "\n";
-      return 1;
-    }
-    const Term *Program = Loader.link(FE, Root, Error);
-    if (!Program) {
-      std::cerr << "fgc: error: " << Error << "\n";
-      std::cerr << FE.getDiags().render();
-      return 1;
-    }
-    Out = FE.compileTerm(Program, Opts);
-  } else {
-    Out = FE.compile(Path == "-" ? "<stdin>" : Path, Source, Opts);
-  }
+  std::string Diagnostics;
+  CompileOutput Out = Program.compile(FE, Opts, Diagnostics);
   if (!Out.Success) {
-    std::cerr << FE.getDiags().render();
+    std::cerr << Diagnostics;
     return 1;
   }
   // -O1/-O2 optimize once, up front, when a run or --dump-bytecode uses

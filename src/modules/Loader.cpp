@@ -37,6 +37,7 @@ bool ModuleLoader::scanHeader(const std::string &BufferName,
   auto advance = [&] { Tok = Lex.next(); };
 
   Header = ModuleHeader();
+  Header.Loc = Tok.Loc;
   if (Tok.is(TokenKind::KwModule)) {
     advance();
     if (!Tok.is(TokenKind::Ident)) {
@@ -133,6 +134,12 @@ bool ModuleLoader::loadFile(const std::string &Path, std::string &RootName,
     Frame F;
     F.Path = FilePath;
     F.Source = Buf.str();
+    // A directory opens like a file and reads as nothing.
+    std::error_code EC;
+    if (F.Source.empty() && fs::is_directory(FilePath, EC)) {
+      Error = "cannot read `" + FilePath + "`: is a directory";
+      return false;
+    }
     if (!scanHeader(FilePath, F.Source, F.Header, Error))
       return false;
     if (F.Header.HasModuleDecl && F.Header.Name != Stem) {
@@ -143,7 +150,6 @@ bool ModuleLoader::loadFile(const std::string &Path, std::string &RootName,
     F.Name = Stem;
 
     if (const ModuleUnit *Existing = find(Stem)) {
-      std::error_code EC;
       if (fs::equivalent(Existing->Path, FilePath, EC)) {
         Skip = true;
         return true;
@@ -312,17 +318,24 @@ const Term *ModuleLoader::link(Frontend &FE, const std::string &Root,
   return Program;
 }
 
+/// FNV-1a 64 of \p Parts chained onto \p H, each closed by a NUL so
+/// that ("ab", "c") and ("a", "bc") differ.
+static uint64_t hashParts(uint64_t H,
+                          std::initializer_list<const std::string *> Parts) {
+  for (const std::string *Part : Parts) {
+    H = fnv1a64(*Part, H);
+    H = fnv1a64(std::string_view("\0", 1), H);
+  }
+  return H;
+}
+
 uint64_t ModuleLoader::contentHash(const std::string &Root) const {
   const ModuleUnit *RootU = find(Root);
   if (!RootU)
     return 0;
-  uint64_t H = fnv1a64("fg-cone-1");
-  for (const ModuleUnit *U : topoOrder({RootU})) {
-    H = fnv1a64(U->Name, H);
-    H = fnv1a64(std::string_view("\0", 1), H);
-    H = fnv1a64(U->Source, H);
-    H = fnv1a64(std::string_view("\0", 1), H);
-  }
+  uint64_t H = fnv1a64("fg-cone-2");
+  for (const ModuleUnit *U : topoOrder({RootU}))
+    H = hashParts(H, {&U->Path, &U->Name, &U->Source});
   return H;
 }
 
@@ -388,4 +401,50 @@ bool ModuleLoader::spineText(Frontend &FE, const std::string &Root,
     Out += "\n";
   }
   return true;
+}
+
+OpenedProgram fg::open(OpenRequest Req) {
+  OpenedProgram P;
+  if (Req.Path.empty()) {
+    // Only the header is lexed.  A malformed one is a header too.
+    ModuleHeader Header;
+    std::string Malformed;
+    if (!ModuleLoader::scanHeader(Req.Name, Req.Source, Header, Malformed) ||
+        !Header.empty())
+      P.Error = Req.Name + ":" + std::to_string(Header.Loc.Line) + ":" +
+                std::to_string(Header.Loc.Column) + ": " +
+                ModuleHeader::InSourceText;
+  } else {
+    P.Loader = ModuleLoader(ModuleLoader::Options{Req.SearchPaths});
+    P.Loader.loadFile(Req.Path, P.Root, P.Error);
+  }
+  P.Req = std::move(Req);
+  return P;
+}
+
+uint64_t OpenedProgram::key() const {
+  if (!Req.Path.empty())
+    return Loader.contentHash(Root);
+  return hashParts(fnv1a64("fg-source-1"), {&Req.Name, &Req.Source});
+}
+
+CompileOutput OpenedProgram::compile(Frontend &FE, const CompileOptions &Opts,
+                                     std::string &Diagnostics) const {
+  CompileOutput Out;
+  if (!ok()) {
+    Diagnostics = Error + "\n";
+    return Out;
+  }
+  if (Req.Path.empty()) {
+    Out = FE.compile(Req.Name, Req.Source, Opts);
+  } else if (const Term *Linked =
+                 Loader.link(FE, Root, Out.ErrorMessage)) {
+    Out = FE.compileTerm(Linked, Opts);
+  }
+  if (!Out.Success) {
+    Diagnostics = FE.getDiags().render();
+    if (Diagnostics.empty())
+      Diagnostics = Out.ErrorMessage + "\n";
+  }
+  return Out;
 }

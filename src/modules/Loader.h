@@ -24,12 +24,18 @@
 /// whole program whose evaluation result is identical to the
 /// equivalent single-file program.
 ///
+/// fg::open() is the one way to open a program, beside fg::execute()
+/// (syntax/Frontend.h), which runs it: fgc, fgcd and the embedding
+/// example read source text or a file through it, get a content key
+/// before compiling, and compile through it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FG_MODULES_LOADER_H
 #define FG_MODULES_LOADER_H
 
 #include "syntax/Parser.h"
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -37,6 +43,8 @@
 namespace fg {
 
 class Frontend;
+struct CompileOptions;
+struct CompileOutput;
 
 namespace modules {
 
@@ -67,9 +75,12 @@ public:
 
   explicit ModuleLoader(Options Opts = Options()) : Opts(std::move(Opts)) {}
   // Units point at each other (ModuleUnit::Deps), so a copy would point
-  // into the original.
+  // into the original.  A move keeps the map's nodes, and so the
+  // pointers, where they are.
   ModuleLoader(const ModuleLoader &) = delete;
   ModuleLoader &operator=(const ModuleLoader &) = delete;
+  ModuleLoader(ModuleLoader &&) = default;
+  ModuleLoader &operator=(ModuleLoader &&) = default;
 
   /// Scans only the `module`/`import` header of \p Source: tokens are
   /// lexed up to the first one that cannot continue the header, so the
@@ -79,9 +90,10 @@ public:
                          const std::string &Source, ModuleHeader &Header,
                          std::string &Error);
 
-  /// Loads the file at \p Path plus everything it transitively imports.
-  /// \p RootName receives the module name (the file stem).  Returns
-  /// false with \p Error set on I/O errors, name/stem mismatches,
+  /// Loads the file at \p Path plus everything it transitively imports;
+  /// every file a program names is read here.  \p RootName receives
+  /// the module name (the file stem).  Returns false with \p Error set
+  /// on I/O errors (a directory is one), name/stem mismatches,
   /// unresolvable imports, duplicate module names, or import cycles.
   bool loadFile(const std::string &Path, std::string &RootName,
                 std::string &Error);
@@ -111,10 +123,11 @@ public:
                    std::string &Error) const;
 
   /// Content hash of \p Root's whole dependency cone: FNV-1a 64 chained
-  /// over every module's (name, source text) in topoOrder.  The same
-  /// discipline as the `.fgi` interface hash — any edit anywhere in the
-  /// cone changes the value — but computed without checking anything.
-  /// The compiler server keys its shared artifact cache on this
+  /// over every module's (path, name, source text) in topoOrder.  The
+  /// same discipline as the `.fgi` interface hash — any edit anywhere
+  /// in the cone changes the value — but computed without checking
+  /// anything.  The path is in it because diagnostics name it.  The
+  /// compiler server keys its shared artifact cache on this
   /// (server/ArtifactCache.h), so daemon cache entries invalidate
   /// exactly when a batch rebuild would recheck.  Returns 0 when
   /// \p Root is not loaded.
@@ -150,6 +163,65 @@ private:
 };
 
 } // namespace modules
+
+/// What fg::open() reads: a file, or source text under a buffer name.
+struct OpenRequest {
+  /// The file to read, with every module it imports.  When empty,
+  /// Source is the program.
+  std::string Path;
+  /// `-I` directories searched for Path's imports, after the importing
+  /// file's own directory.
+  std::vector<std::string> SearchPaths;
+  /// Source text, which may not have a module header, and the buffer
+  /// name its diagnostics carry (`<stdin>` for fgc's standard input).
+  std::string Source;
+  std::string Name = "<source>";
+};
+
+/// A program fg::open() has read and resolved; it compiles any number
+/// of times, each into a Frontend of the caller's.
+class OpenedProgram {
+public:
+  /// False when the program could not be opened; error() says why.
+  bool ok() const { return Error.empty(); }
+
+  /// One line: an unreadable file (a directory, say), a malformed
+  /// header, an import that does not resolve, an import cycle, or a
+  /// header in source text.
+  const std::string &error() const { return Error; }
+
+  /// The content key, known before anything compiles: FNV-1a 64 over
+  /// the buffer name and the text, or ModuleLoader::contentHash of the
+  /// file's import cone.  Both cover every name a diagnostic can carry,
+  /// so programs with equal keys compile to equal results.
+  uint64_t key() const;
+
+  /// Compiles the program into \p FE: the source text, or the import
+  /// cone linked into one program.  When it fails, or the program did
+  /// not open, Success is false and \p Diagnostics holds the
+  /// diagnostics rendered once (the one-line error when there are
+  /// none).
+  CompileOutput compile(Frontend &FE, const CompileOptions &Opts,
+                        std::string &Diagnostics) const;
+
+  /// The file's import cone and its root module; empty for source text.
+  const modules::ModuleLoader &loader() const { return Loader; }
+  const std::string &root() const { return Root; }
+
+private:
+  friend OpenedProgram open(OpenRequest Req);
+
+  OpenRequest Req;
+  modules::ModuleLoader Loader;
+  std::string Root;
+  std::string Error;
+};
+
+/// Opens the program \p Req names: reads the file and its import cone
+/// through ModuleLoader::loadFile, or takes the source text, which must
+/// have no module header.  Nothing is compiled yet.
+OpenedProgram open(OpenRequest Req);
+
 } // namespace fg
 
 #endif // FG_MODULES_LOADER_H

@@ -84,70 +84,28 @@ ArtifactPtr toArtifact(const Outcome &O) {
   return A;
 }
 
-/// The program a request names: source text, or a file with its import
-/// cone loaded (Root is then the file's module).
-struct Program {
-  explicit Program(const std::vector<std::string> &SearchPaths)
-      : Loader(modules::ModuleLoader::Options{SearchPaths}) {}
-  modules::ModuleLoader Loader;
-  std::string Root;
-  CacheKey Key;
-};
-
-/// Opens the program of a request: \p Source, which must have no module
-/// header (imports need a file to resolve against; the `path` form has
-/// one), or, with \p Path nonempty, that file and its import cone.  The
-/// key covers \p Kind plus the source text, or plus the content hash of
-/// the entire cone, so an edit in any imported file invalidates — the
-/// same discipline as `.fgi` interface hashes.  Returns false with \p O
-/// filled in when the program cannot be opened.
-bool open(Program &P, const std::string &Kind, const std::string &Source,
-          const std::string &Name, const std::string &Path, Outcome &O) {
-  if (!Path.empty()) {
-    if (!P.Loader.loadFile(Path, P.Root, O.Error))
-      return false;
-    P.Key =
-        ArtifactCache::key(Kind + ":path", "", P.Loader.contentHash(P.Root));
-    return true;
-  }
-  ModuleHeader Header;
-  std::string Error;
-  if (!modules::ModuleLoader::scanHeader(Name, Source, Header, Error)) {
-    O.Diagnostics = Error + "\n";
-    return false;
-  }
-  if (Header.HasModuleDecl || !Header.Imports.empty()) {
-    O.Error = "source has a module header; submit it as a file via the "
-              "`path` parameter so imports can be resolved";
-    return false;
-  }
-  P.Key = ArtifactCache::key(Kind, Source, 0);
-  return true;
+/// Opens the program of a request: \p Source under the buffer name
+/// \p Name, or, with \p Path nonempty, that file and its import cone.
+OpenedProgram openRequest(const Session::Options &Opts,
+                          const std::string &Source, const std::string &Name,
+                          const std::string &Path) {
+  OpenRequest Req;
+  Req.Path = Path;
+  Req.SearchPaths = Opts.SearchPaths;
+  Req.Source = Source;
+  Req.Name = Name;
+  return fg::open(std::move(Req));
 }
 
-/// Compiles \p P in \p FE — the source text, or the file's import cone
-/// linked into one program — and fills in the type.  Returns false with
-/// the diagnostics in \p O when it does not compile.
-bool compile(Frontend &FE, const Program &P, const std::string &Source,
-             const std::string &Name, CompileOutput &Out, Outcome &O) {
-  if (P.Root.empty()) {
-    Out = FE.compile(Name, Source);
-  } else {
-    std::string Error;
-    const Term *Linked = P.Loader.link(FE, P.Root, Error);
-    if (!Linked) {
-      O.Diagnostics = Error + "\n" + FE.getDiags().render();
-      return false;
-    }
-    Out = FE.compileTerm(Linked);
-  }
-  if (!Out.Success) {
-    O.Diagnostics = FE.getDiags().render();
-    return false;
-  }
-  O.Success = true;
-  O.Type = typeToString(Out.FgType);
-  return true;
+/// Compiles \p P into \p FE and fills in the type, or the diagnostics
+/// when it does not compile.
+bool compile(Frontend &FE, const OpenedProgram &P, CompileOutput &Out,
+             Outcome &O) {
+  Out = P.compile(FE, CompileOptions(), O.Diagnostics);
+  O.Success = Out.Success;
+  if (Out.Success)
+    O.Type = typeToString(Out.FgType);
+  return Out.Success;
 }
 
 /// Records what running the program produced: its value, or the runtime
@@ -172,19 +130,24 @@ Outcome Session::cached(const std::string &Kind, const char *TimerName,
                         const std::string &Path,
                         const AfterCompile &Then) {
   Outcome O;
-  Program P(Opts.SearchPaths);
-  if (!open(P, Kind, Source, Name, Path, O))
+  OpenedProgram P = openRequest(Opts, Source, Name, Path);
+  if (!P.ok()) {
+    O.Error = P.error();
     return O;
-  if (ArtifactPtr A = Cache->get(P.Key))
+  }
+  // A hit compares the source text byte for byte (ArtifactCache::get);
+  // the program's key covers the buffer name, or the whole import cone.
+  CacheKey Key = ArtifactCache::key(Kind, Source, P.key());
+  if (ArtifactPtr A = Cache->get(Key))
     return fromArtifact(A);
 
   stats::ScopedTimer Timer(TimerName);
   Frontend FE;
   CompileOutput Out;
-  if (compile(FE, P, Source, Name, Out, O) && Then)
+  if (compile(FE, P, Out, O) && Then)
     Then(FE, Out, O);
   if (!O.BackendUnavailable) // See Outcome::BackendUnavailable.
-    Cache->put(P.Key, toArtifact(O));
+    Cache->put(Key, toArtifact(O));
   return O;
 }
 
@@ -288,13 +251,15 @@ Outcome Session::eval(const std::string &RawInput, Backend Engine) {
 Outcome Session::load(const std::string &Path) {
   stats::ScopedTimer Timer("server.load");
   Outcome O;
-  Program P(Opts.SearchPaths);
-  if (!open(P, "load", "", Path, Path, O))
+  OpenedProgram P = openRequest(Opts, "", Path, Path);
+  if (!P.ok()) {
+    O.Error = P.error();
     return O;
+  }
   // Evaluate the file itself (its imports resolved) ...
   Frontend FE;
   CompileOutput Out;
-  if (!compile(FE, P, "", Path, Out, O))
+  if (!compile(FE, P, Out, O))
     return O;
   report(execute(FE, Out, ExecRequest()), O);
 
@@ -302,7 +267,7 @@ Outcome Session::load(const std::string &Path) {
   // session scope, deps outermost — textual linking.
   Frontend SpineFE;
   std::string Spine, Error;
-  if (!P.Loader.spineText(SpineFE, P.Root, Spine, Error)) {
+  if (!P.loader().spineText(SpineFE, P.root(), Spine, Error)) {
     // The file ran but its declarations could not be spliced into the
     // session scope — report failure, not a half-loaded success.
     O.Success = false;

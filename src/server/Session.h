@@ -10,6 +10,8 @@
 /// a protocol connection (server/Protocol.h) or an interactive REPL
 /// (server/Repl.h) — accumulates across requests.  Both surfaces are
 /// thin wrappers over the same methods, cling/MetaProcessor-style.
+/// A request opens its program with fg::open (modules/Loader.h) and
+/// runs it with fg::execute (syntax/Frontend.h), as fgc does.
 ///
 /// Isolation and sharing, the two invariants the whole server design
 /// hangs on:
@@ -91,11 +93,11 @@ public:
   explicit Session(std::shared_ptr<ArtifactCache> Cache,
                    Options Opts = Options());
 
-  /// Typechecks a self-contained program (no module header).  With
-  /// \p Path nonempty the file at \p Path is checked instead, its
-  /// imports resolved (whole-program link), and \p Source is ignored.
-  /// Cached; a path is keyed on the content hash of its entire import
-  /// cone.
+  /// Typechecks a self-contained program (no module header) named
+  /// \p Name.  With \p Path nonempty the file at \p Path is checked
+  /// instead, its imports resolved (whole-program link).  Cached on
+  /// the program's key (fg::open): the name and the text, or every
+  /// path and text of the file's import cone.
   Outcome check(const std::string &Source,
                 const std::string &Name = "<check>",
                 const std::string &Path = "");
@@ -143,10 +145,11 @@ private:
       std::function<void(Frontend &, CompileOutput &, Outcome &)>;
 
   /// The one path of the cached request kinds: opens the program
-  /// (\p Source, or the file at \p Path with its import cone), answers
-  /// from the shared cache on a hit, and otherwise compiles it under
-  /// the timer \p TimerName, runs \p Then (when set) if it compiled,
-  /// and caches the outcome under \p Kind.
+  /// (\p Source named \p Name, or the file at \p Path with its import
+  /// cone), answers from the shared cache on a hit, and otherwise
+  /// compiles it under the timer \p TimerName, runs \p Then (when set)
+  /// if it compiled, and caches the outcome under \p Kind and the
+  /// program's key.
   Outcome cached(const std::string &Kind, const char *TimerName,
                  const std::string &Source, const std::string &Name,
                  const std::string &Path, const AfterCompile &Then);

@@ -98,14 +98,6 @@ sf::EvalResult Frontend::run(const CompileOutput &Out,
   return E.eval(Out.SfTerm, ThePrelude.Values);
 }
 
-sf::EvalResult Frontend::runProgram(const std::string &Name,
-                                    const std::string &Source) {
-  CompileOutput Out = compile(Name, Source);
-  if (!Out.Success)
-    return sf::EvalResult::failure(Out.ErrorMessage);
-  return execute(*this, Out, ExecRequest());
-}
-
 interp::EvalResult Frontend::runDirect(const CompileOutput &Out,
                                        const interp::InterpOptions &Opts) {
   if (!Out.Success)

@@ -13,17 +13,25 @@
 ///
 /// Typical use:
 /// \code
+///   fg::OpenRequest Req;        // or Req.Path = "prog.fg"
+///   Req.Source = Source;
+///   fg::OpenedProgram P = fg::open(std::move(Req));
 ///   fg::Frontend FE;
-///   fg::CompileOutput Out = FE.compile("demo", Source);
+///   std::string Diagnostics;
+///   fg::CompileOutput Out =
+///       P.compile(FE, fg::CompileOptions(), Diagnostics);
 ///   if (Out.Success) {
 ///     fg::ExecResult R = fg::execute(FE, Out, fg::ExecRequest());
 ///     ... sf::valueToString(R.Val) ...
 ///   }
 /// \endcode
 ///
-/// fg::execute() is the one way to run a program on a chosen backend at
-/// a chosen optimization level; fgc, fgcd, the fuzzer and the tests all
-/// go through it.
+/// fg::open() (modules/Loader.h) is the one way to open a program:
+/// source text, or a file with the modules it imports.  fgc, fgcd and
+/// the embedding example open programs through it.  fg::execute() is
+/// the one way to run a program on a chosen backend at a chosen
+/// optimization level; fgc, fgcd, the fuzzer and the tests all go
+/// through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,11 +128,6 @@ public:
   /// harness.  Everything else runs programs through fg::execute().
   sf::EvalResult run(const CompileOutput &Out,
                      const sf::EvalOptions &Opts = sf::EvalOptions());
-
-  /// Compile-and-run convenience; returns a failure EvalResult carrying
-  /// the first diagnostic if compilation fails.
-  sf::EvalResult runProgram(const std::string &Name,
-                            const std::string &Source);
 
   /// Evaluates a compiled program with the *direct* F_G interpreter
   /// (core/Interp.h), bypassing the System F translation entirely.

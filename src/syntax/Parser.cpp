@@ -42,11 +42,8 @@ int Parser::lookupConcept(const std::string &Name) const {
 const Term *Parser::parseProgram(uint32_t BufferId) {
   ModuleHeader Header;
   const Term *E = parseModule(BufferId, Header);
-  if (E && (Header.HasModuleDecl || !Header.Imports.empty())) {
-    Diags.error(Header.HasModuleDecl ? SourceLocation()
-                                     : Header.Imports.front().Loc,
-                "this file is a module; compile it through the module "
-                "loader (`fgc --batch` or `fgc -I <dir>`)");
+  if (E && !Header.empty()) {
+    Diags.error(Header.Loc, ModuleHeader::InSourceText);
     return nullptr;
   }
   return E;
@@ -70,6 +67,7 @@ const Term *Parser::parseModule(uint32_t BufferId, ModuleHeader &Header,
 
   // Header: `module <name>;` then `import <name>;`*.
   Header = ModuleHeader();
+  Header.Loc = tok().Loc;
   if (consumeIf(TokenKind::KwModule)) {
     if (!at(TokenKind::Ident)) {
       errorAtToken("expected a module name after `module`");

@@ -59,12 +59,25 @@ struct ModuleHeader {
   /// True when the file opened with a `module <name>;` declaration.
   bool HasModuleDecl = false;
   std::string Name;
+  /// The text's first token: where the header starts (the `module`
+  /// keyword, else the first `import`) when there is one.  A malformed
+  /// header has it too.
+  SourceLocation Loc;
 
   struct Import {
     std::string Name;
     SourceLocation Loc;
   };
   std::vector<Import> Imports;
+
+  /// True when the text has neither a `module` line nor an import.
+  bool empty() const { return !HasModuleDecl && Imports.empty(); }
+
+  /// Why source text may not have a header, whose imports resolve
+  /// against the directory of the file that declares them.
+  static constexpr const char *InSourceText =
+      "source text cannot have a module header; compile it from a file "
+      "so its imports resolve";
 };
 
 /// Names resolved at parse time that a module inherits from its
@@ -85,9 +98,10 @@ public:
       : SM(SM), Diags(Diags), Ctx(Ctx), Arena(Arena) {}
 
   /// Parses the registered buffer \p BufferId as one program expression.
-  /// Returns null after reporting diagnostics on error.  Module headers
-  /// are rejected here: files that declare or import modules must go
-  /// through the module loader (src/modules), which calls parseModule.
+  /// Returns null after reporting diagnostics on error.  A module header
+  /// is an error at the header (ModuleHeader::InSourceText): files that
+  /// declare or import modules go through the module loader
+  /// (src/modules), which calls parseModule.
   const Term *parseProgram(uint32_t BufferId);
 
   /// Parses the registered buffer \p BufferId as one module: an

@@ -20,7 +20,10 @@
 //   * every backend runs the term the optimization level selects, as
 //     the `--stats-json` counters of each (backend, -O) cell prove, and
 //     the last -O on the command line is the level;
-//   * batch workers check modules nested past the default thread stack.
+//   * batch workers check modules nested past the default thread stack;
+//   * a program opens one way (fg::open): a missing file or a directory
+//     is a `cannot read` error, a parse error in a module prints once,
+//     and a module header in source text is an error at the header.
 //
 //===----------------------------------------------------------------------===//
 
@@ -446,6 +449,68 @@ TEST(DriverCliTest, OversizedIntegerLiteralIsADiagnostic) {
   RunResult R = runFgc((Dir.P / "edges.fg").string());
   EXPECT_EQ(R.ExitCode, 0) << R.Stderr;
   EXPECT_NE(R.Stdout.find("value: -1"), std::string::npos) << R.Stdout;
+}
+
+// fgc reads every file through the module loader, so a path that is
+// not a readable file fails before anything compiles, with the
+// loader's message: a directory is not an empty program, whether it is
+// named on the command line or an import resolves to it.
+TEST(DriverCliTest, UnreadablePathsAreLoaderErrors) {
+  ScratchDir Dir("fgc_cli_unreadable");
+  fs::create_directories(Dir.P / "dep.fg");
+  std::ofstream(Dir.P / "main.fg") << "module main;\nimport dep;\n1\n";
+  const std::string Missing = (Dir.P / "missing.fg").string();
+  const std::pair<std::string, std::string> Cases[] = {
+      {Dir.str(), "cannot read `" + Dir.str() + "`: is a directory"},
+      {(Dir.P / "main.fg").string(),
+       "cannot read `" + (Dir.P / "dep.fg").string() + "`: is a directory"},
+      {Missing, "cannot read `" + Missing + "`"},
+  };
+  for (const auto &[Path, Message] : Cases) {
+    RunResult R = runFgc(Path);
+    EXPECT_EQ(R.ExitCode, 1) << Path;
+    EXPECT_EQ(R.Stderr, "fgc: error: " + Message + "\n");
+    EXPECT_TRUE(R.Stdout.empty()) << R.Stdout;
+  }
+}
+
+// A parse error in a module is printed once, as the rendered
+// diagnostic with its caret, exactly as for a file without a header.
+TEST(DriverCliTest, ModuleParseErrorIsPrintedOnce) {
+  ScratchDir Dir("fgc_cli_link_error");
+  std::ofstream(Dir.P / "bad.fg") << "module bad;\nlet x = in 1\n";
+  std::ofstream(Dir.P / "plain.fg") << "let x = in 1\n";
+  const std::pair<const char *, const char *> Cases[] = {{"bad.fg", "2"},
+                                                         {"plain.fg", "1"}};
+  for (const auto &[File, Line] : Cases) {
+    std::string Path = (Dir.P / File).string();
+    RunResult R = runFgc(Path);
+    EXPECT_EQ(R.ExitCode, 1) << File;
+    EXPECT_EQ(R.Stderr, Path + ":" + Line +
+                            ":9: error: expected an expression, found 'in'\n"
+                            "  let x = in 1\n"
+                            "          ^\n");
+  }
+}
+
+// Source text on stdin cannot resolve imports, so a header there is an
+// error that points at the header and names no flag of any one tool.
+TEST(DriverCliTest, ModuleHeaderInSourceTextIsLocated) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"module x;\\n1\\n", "1:1"},
+      {"import eq;\\n1\\n", "1:1"},
+      {"// a comment\\n  module x;\\n1\\n", "2:3"},
+  };
+  for (const auto &[Text, Loc] : Cases) {
+    std::string Err;
+    int Code = capture("printf '" + std::string(Text) + "' | " +
+                           std::string(FG_FGC_PATH) + " - 2>&1 1>/dev/null",
+                       Err);
+    EXPECT_EQ(Code, 1) << Text;
+    EXPECT_EQ(Err, std::string("fgc: error: <stdin>:") + Loc +
+                       ": source text cannot have a module header; compile "
+                       "it from a file so its imports resolve\n");
+  }
 }
 
 } // namespace

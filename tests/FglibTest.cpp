@@ -30,7 +30,6 @@
 #include "syntax/Frontend.h"
 #include "systemf/TypeCheck.h"
 #include <filesystem>
-#include <fstream>
 #include <gtest/gtest.h>
 
 using namespace fg;
@@ -48,21 +47,15 @@ std::string fglibRoot() {
   return (fs::path(FG_FGLIB_DIR) / "fglib.fg").string();
 }
 
-/// Loads the library graph and links it into \p FE; returns the
-/// compiled whole program.
-CompileOutput linkFglib(Frontend &FE, ModuleLoader &Loader,
-                        std::string &Root) {
-  std::string Error;
-  if (!Loader.loadFile(fglibRoot(), Root, Error)) {
-    ADD_FAILURE() << "fglib failed to load: " << Error;
-    return CompileOutput();
-  }
-  const Term *Program = Loader.link(FE, Root, Error);
-  if (!Program) {
-    ADD_FAILURE() << "fglib failed to link: " << Error;
-    return CompileOutput();
-  }
-  return FE.compileTerm(Program);
+/// Opens the library root and compiles the linked program into \p FE.
+CompileOutput compileFglib(Frontend &FE) {
+  OpenRequest Req;
+  Req.Path = fglibRoot();
+  std::string Diagnostics;
+  CompileOutput Out =
+      fg::open(std::move(Req)).compile(FE, CompileOptions(), Diagnostics);
+  EXPECT_TRUE(Out.Success) << "fglib failed to compile:\n" << Diagnostics;
+  return Out;
 }
 
 TEST(FglibTest, GraphLoadsAllModules) {
@@ -78,10 +71,8 @@ TEST(FglibTest, GraphLoadsAllModules) {
 
 TEST(FglibTest, LinksAndAgreesOnEveryBackend) {
   Frontend FE;
-  ModuleLoader Loader;
-  std::string Root;
-  CompileOutput Out = linkFglib(FE, Loader, Root);
-  ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
+  CompileOutput Out = compileFglib(FE);
+  ASSERT_TRUE(Out.Success);
   EXPECT_EQ(typeToString(Out.FgType), FglibType);
 
   std::vector<fgtest::BackendOutcome> Outcomes =
@@ -93,10 +84,8 @@ TEST(FglibTest, LinksAndAgreesOnEveryBackend) {
 
 TEST(FglibTest, SpecializationPreservesValueAndTyping) {
   Frontend FE;
-  ModuleLoader Loader;
-  std::string Root;
-  CompileOutput Out = linkFglib(FE, Loader, Root);
-  ASSERT_TRUE(Out.Success) << Out.ErrorMessage;
+  CompileOutput Out = compileFglib(FE);
+  ASSERT_TRUE(Out.Success);
 
   sf::OptimizeOptions SOpts;
   SOpts.Specialize = sf::SpecializeLevel::Full;

@@ -225,7 +225,9 @@ TEST_F(ModulesTest, LinkedProgramMatchesSingleFileValue) {
   ASSERT_TRUE(R.ok()) << R.Error;
 
   Frontend Single;
-  sf::EvalResult S = Single.runProgram("diamond", diamondSingleFile());
+  CompileOutput SingleOut = Single.compile("diamond", diamondSingleFile());
+  ASSERT_TRUE(SingleOut.Success) << SingleOut.ErrorMessage;
+  ExecResult S = execute(Single, SingleOut, ExecRequest());
   ASSERT_TRUE(S.ok()) << S.Error;
   EXPECT_EQ(sf::valueToString(R.Val), sf::valueToString(S.Val));
   EXPECT_EQ(sf::valueToString(R.Val), "(8, 12)");

@@ -7,7 +7,8 @@
 // pipelines: the type and the value are preserved and the advertised
 // rewrites fire.  This test pins their exact output.  For every
 // examples/programs file, the modules example, the fglib root and every
-// conformance fixture that compiles, it checks
+// conformance fixture that compiles, opened with fg::open as fgc opens
+// it, it checks
 //
 //   * the FNV-1a of sf::termToString of the -O1 and of the -O2 term;
 //   * the OptimizeStats counters of both runs;
@@ -27,7 +28,6 @@
 #include "syntax/Frontend.h"
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <gtest/gtest.h>
 #include <map>
 #include <sstream>
@@ -66,6 +66,14 @@ const Golden Table[] = {
      "779c7fc47c2609e1 nodes 77->58 tyapps 2 lets 13 proj 6 dead 0 clones 0 hits 0 devirt 0 params 0 fields 0 budget 0 noop 7/0",
      "09c0145b03468ce9 nodes 77->64 tyapps 0 lets 13 proj 6 dead 1 clones 6 hits 5 devirt 0 params 0 fields 0 budget 0 noop 14/1",
      "3a7dd7a2e8b7ca8d"},
+    {"examples/programs/graph_reachability.fg",
+     "fa902a29e2151f45 nodes 341->843 tyapps 4 lets 32 proj 16 dead 0 clones 0 hits 0 devirt 0 params 0 fields 0 budget 0 noop 12/2",
+     "086212244cbdd0ab nodes 341->754 tyapps 0 lets 49 proj 16 dead 2 clones 12 hits 97 devirt 4 params 0 fields 0 budget 0 noop 22/2",
+     "a98d958b0d309e46"},
+    {"examples/programs/monoid_power.fg",
+     "35839580b731c3d8 nodes 65->42 tyapps 1 lets 6 proj 5 dead 0 clones 0 hits 0 devirt 0 params 0 fields 0 budget 0 noop 8/0",
+     "35839580b731c3d8 nodes 65->42 tyapps 0 lets 6 proj 5 dead 1 clones 1 hits 0 devirt 0 params 0 fields 0 budget 0 noop 16/1",
+     "7548484cd1bb0ff5"},
     {"examples/programs/parameterized_list_monoid.fg",
      "b381aabb681f69cf nodes 125->161 tyapps 6 lets 4 proj 0 dead 0 clones 0 hits 0 devirt 0 params 0 fields 0 budget 0 noop 7/3",
      "72720260430fa60f nodes 125->190 tyapps 4 lets 7 proj 0 dead 1 clones 22 hits 9 devirt 0 params 0 fields 0 budget 0 noop 16/6",
@@ -86,6 +94,10 @@ const Golden Table[] = {
      "998fc869adcc96a6 nodes 193->157 tyapps 1 lets 27 proj 19 dead 0 clones 0 hits 0 devirt 0 params 0 fields 0 budget 0 noop 9/2",
      "e2e7f0140c8544f1 nodes 193->137 tyapps 0 lets 38 proj 19 dead 1 clones 6 hits 8 devirt 0 params 0 fields 0 budget 0 noop 19/2",
      "c5850569c41e6aad"},
+    {"examples/programs/stl_algorithms.fg",
+     "9c095ff420041fef nodes 177->146 tyapps 7 lets 22 proj 10 dead 0 clones 0 hits 0 devirt 0 params 0 fields 0 budget 0 noop 9/2",
+     "645c0f51e7ef34b9 nodes 177->145 tyapps 4 lets 33 proj 10 dead 2 clones 13 hits 11 devirt 0 params 0 fields 0 budget 0 noop 19/5",
+     "6001b270da4f18c2"},
     {"examples/programs/unqualified_members.fg",
      "b9458e7fded3f4f2 nodes 53->32 tyapps 1 lets 6 proj 3 dead 0 clones 0 hits 0 devirt 0 params 0 fields 0 budget 0 noop 8/0",
      "3dc2cdc265f2869c nodes 53->41 tyapps 0 lets 6 proj 3 dead 1 clones 6 hits 1 devirt 0 params 0 fields 0 budget 0 noop 15/1",
@@ -248,28 +260,6 @@ std::vector<std::string> programs() {
   return Out;
 }
 
-/// Compiles \p Rel the way fgc does: through the module loader when the
-/// file has a module header or imports.
-CompileOutput compile(Frontend &FE, const std::string &Rel) {
-  std::string Path = (fs::path(FG_SOURCE_DIR) / Rel).string();
-  std::ifstream In(Path);
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  std::string Source = Buf.str();
-  ModuleHeader Header;
-  std::string Error;
-  if (!modules::ModuleLoader::scanHeader(Path, Source, Header, Error))
-    return CompileOutput();
-  if (!Header.HasModuleDecl && Header.Imports.empty())
-    return FE.compile(Path, Source);
-  modules::ModuleLoader Loader;
-  std::string Root;
-  if (!Loader.loadFile(Path, Root, Error))
-    return CompileOutput();
-  const Term *Program = Loader.link(FE, Root, Error);
-  return Program ? FE.compileTerm(Program) : CompileOutput();
-}
-
 TEST(OptimizeGoldenTest, OutputMatchesThePinnedTable) {
   std::map<std::string, const Golden *> Rows;
   for (const Golden &G : Table)
@@ -277,8 +267,12 @@ TEST(OptimizeGoldenTest, OutputMatchesThePinnedTable) {
 
   for (const std::string &Rel : programs()) {
     SCOPED_TRACE(Rel);
+    OpenRequest Req;
+    Req.Path = (fs::path(FG_SOURCE_DIR) / Rel).string();
     Frontend FE;
-    CompileOutput Out = compile(FE, Rel);
+    std::string Diagnostics;
+    CompileOutput Out =
+        fg::open(std::move(Req)).compile(FE, CompileOptions(), Diagnostics);
     if (!Out.Success) {
       // Conformance fixtures that expect a compile error have no row.
       EXPECT_EQ(Rel.rfind("tests/conformance/", 0), 0u)

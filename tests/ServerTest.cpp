@@ -14,6 +14,10 @@
 //     is the spec these tests pin);
 //   * session isolation: concurrent sessions share artifacts but never
 //     declaration scopes;
+//   * programs open as fgc opens them (fg::open): a cached answer names
+//     the request's own file, a directory is an error, a parse error in
+//     a module is reported once, and a module header in source text is
+//     an error at the header;
 //   * the real Unix-socket daemon under 16 concurrent client threads,
 //     on a request nested past the default thread stack, and stopped
 //     by one client while another sits idle.
@@ -881,6 +885,98 @@ TEST(SessionTest, CheckPathCachesOnTheImportCone) {
   Outcome Third = S.check("", Main, Main);
   EXPECT_FALSE(Third.Cached);
   EXPECT_FALSE(Third.Success);
+}
+
+// Diagnostics name the buffer, so the cache key covers the name of
+// source text and the path of every file: the same text under another
+// name, or the same bytes at another path, is compiled for its own
+// diagnostics, while a repeat still hits.
+TEST(SessionTest, CachedDiagnosticsNameTheRequestsOwnFile) {
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  Outcome A = S.check("iadd(1, true)", "a.fg");
+  Outcome B = S.check("iadd(1, true)", "b.fg");
+  EXPECT_EQ(A.Diagnostics.rfind("a.fg:1:9: error:", 0), 0u) << A.Diagnostics;
+  EXPECT_EQ(B.Diagnostics.rfind("b.fg:1:9: error:", 0), 0u) << B.Diagnostics;
+  EXPECT_FALSE(B.Cached);
+  EXPECT_TRUE(S.check("iadd(1, true)", "b.fg").Cached);
+
+  TempDir Dir;
+  std::filesystem::create_directories(Dir.Path / "pa");
+  std::filesystem::create_directories(Dir.Path / "pb");
+  std::string PA = Dir.write("pa/x.fg", "iadd(1, true)\n");
+  std::string PB = Dir.write("pb/x.fg", "iadd(1, true)\n");
+  Outcome FA = S.check("", PA, PA);
+  Outcome FB = S.check("", PB, PB);
+  EXPECT_EQ(FA.Diagnostics.rfind(PA + ":1:9: error:", 0), 0u)
+      << FA.Diagnostics;
+  EXPECT_EQ(FB.Diagnostics.rfind(PB + ":1:9: error:", 0), 0u)
+      << FB.Diagnostics;
+  EXPECT_FALSE(FB.Cached);
+  EXPECT_TRUE(S.check("", PB, PB).Cached);
+}
+
+// A directory is not a program: every path request that names one gets
+// the loader's error, and nothing is cached for it.
+TEST(SessionTest, DirectoryPathIsAnError) {
+  TempDir Dir;
+  const std::string Expected = "cannot read `" + Dir.Path.string() +
+                               "`: is a directory";
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  for (int Round = 0; Round < 2; ++Round) {
+    Outcome R = S.run("", Dir.Path.string(), Backend::Tree, 0,
+                      Dir.Path.string());
+    EXPECT_FALSE(R.Success);
+    EXPECT_FALSE(R.Cached);
+    EXPECT_EQ(R.Error, Expected);
+    EXPECT_TRUE(R.Diagnostics.empty()) << R.Diagnostics;
+  }
+  Outcome C = S.check("", Dir.Path.string(), Dir.Path.string());
+  EXPECT_EQ(C.Error, Expected);
+  Outcome L = S.load(Dir.Path.string());
+  EXPECT_FALSE(L.Success);
+  EXPECT_EQ(L.Error, Expected);
+  EXPECT_EQ(Cache->size(), 0u);
+}
+
+// A parse error in a file, with a module header or without one, is
+// reported once: the rendered diagnostic, not a summary line before it.
+TEST(SessionTest, ParseErrorInAFileIsReportedOnce) {
+  TempDir Dir;
+  std::string Bad = Dir.write("bad.fg", "module bad;\nlet x = in 1\n");
+  std::string Plain = Dir.write("plain.fg", "let x = in 1\n");
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  const std::pair<std::string, const char *> Cases[] = {{Bad, "2"},
+                                                        {Plain, "1"}};
+  for (const auto &[Path, Line] : Cases) {
+    Outcome O = S.check("", Path, Path);
+    EXPECT_FALSE(O.Success);
+    EXPECT_EQ(O.Diagnostics, Path + ":" + Line +
+                                 ":9: error: expected an expression, found "
+                                 "'in'\n  let x = in 1\n          ^\n");
+  }
+}
+
+// Source text cannot resolve imports.  A header in it is an `error`
+// (not a diagnostic), located at the header, in the words fgc uses.
+TEST(ProtocolTest, ModuleHeaderInSourceIsALocatedError) {
+  std::vector<Json> R = roundTrip({
+      "{\"id\":1,\"method\":\"check\",\"params\":"
+      "{\"source\":\"module x;\\n1\\n\"}}",
+      "{\"id\":2,\"method\":\"run\",\"params\":"
+      "{\"source\":\"\\n import eq;\\n1\\n\",\"name\":\"m.fg\"}}",
+  });
+  const char *Message = ": source text cannot have a module header; "
+                        "compile it from a file so its imports resolve";
+  const Json &Check = resultOf(R[0]);
+  EXPECT_FALSE(Check.find("success")->asBool());
+  EXPECT_EQ(Check.find("error")->asString(),
+            std::string("<check>:1:1") + Message);
+  EXPECT_EQ(Check.find("diagnostics"), nullptr);
+  EXPECT_EQ(resultOf(R[1]).find("error")->asString(),
+            std::string("m.fg:2:2") + Message);
 }
 
 //===----------------------------------------------------------------------===//
