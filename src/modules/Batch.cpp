@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -78,14 +79,17 @@ void buildModule(const ModuleLoader &Loader, const ModuleUnit &U,
   stats::Statistics &S = stats::Statistics::global();
 
   // The expected hash covers this module's source plus the *direct*
-  // imports' interface hashes; those hashes cover their own deps in
-  // turn, so any change in the dependency cone cascades here.
+  // imports' interface digests; a digest covers its own deps' digests in
+  // turn, so a changed interface anywhere in the closure cascades here,
+  // while an edit that leaves its module's interface as it was stops at
+  // that module.
   std::vector<std::pair<std::string, uint64_t>> DirectDeps;
   for (const ModuleUnit *Dep : U.Deps)
-    DirectDeps.emplace_back(Dep->Name, Products[Dep->Id].Iface.Hash);
+    DirectDeps.emplace_back(Dep->Name, Products[Dep->Id].Iface.Digest);
   uint64_t Expected = interfaceHash(U.Source, DirectDeps);
 
   std::string CachePath = cacheFileFor(U, Opts);
+  std::optional<uint64_t> StaleDigest;
   {
     // One parse validates the stored hash, gives the stored deps for
     // attribution, and on a hit is what dependents instantiate.  A file
@@ -103,10 +107,11 @@ void buildModule(const ModuleLoader &Loader, const ModuleUnit &U,
         return;
       }
       // A stale interface exists: attribute the invalidation.  If the
-      // current source re-hashed against the *stored* dep hashes still
+      // current source re-hashed against the *stored* dep digests still
       // reproduces the stored hash, this module's own text is
       // unchanged — the invalidation cascaded transitively from a
-      // dependency.  Otherwise the source itself was edited.
+      // dependency's interface.  Otherwise the source itself was edited.
+      StaleDigest = Stored.Digest;
       if (interfaceHash(U.Source, Stored.Deps) == Stored.Hash)
         S.add("modules.cache.invalidations.transitive");
       else
@@ -193,6 +198,10 @@ void buildModule(const ModuleLoader &Loader, const ModuleUnit &U,
   }
   publish(CachePath, Out.Iface.Text);
   S.add("modules.compiled");
+  // The rebuilt interface reads as the stale one did, so dependents keep
+  // their keys: the recheck stops here.
+  if (StaleDigest == Out.Iface.Digest)
+    S.add("modules.cache.cutoffs");
   Out.Ok = true;
   R.Success = true;
 }

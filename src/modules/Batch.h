@@ -16,9 +16,14 @@
 /// no dependency body is re-parsed or re-checked.  A successfully
 /// checked module writes its interface next to its source (or into
 /// `--module-cache`); a later batch whose recorded hash still matches
-/// skips the module entirely (an interface cache hit).  Each interface
-/// is parsed once per batch, when its cached file is read or its fresh
-/// text is written, and every dependent instantiates that parsed form.
+/// skips the module entirely (an interface cache hit).  That hash keys
+/// the module's source and its direct imports' interface *digests*, not
+/// their sources: an edit that leaves a module's interface as it was
+/// rechecks that module alone, and its dependents stay hits (early
+/// cutoff), while a changed interface rechecks every module above it.
+/// Each interface is parsed once per batch, when its cached file is read
+/// or its fresh text is written, and every dependent instantiates that
+/// parsed form.
 /// The schedule comes from one walk of the loader's indexed graph over
 /// all roots; a worker walks a module's own closure only on a miss,
 /// when it instantiates the closure's interfaces.
@@ -26,8 +31,10 @@
 /// Observability (support/Stats.h): counters `modules.loaded`,
 /// `modules.compiled`, `modules.cache.hits` / `.misses` (with
 /// `modules.cache.invalidations.source` / `.transitive` attributing
-/// each stale interface to an edited source or a cascading dependency)
-/// (hit_rate derived at emission), `batch.wavefront.max_width`; timers
+/// each stale interface to an edited source or a cascading dependency,
+/// and `modules.cache.cutoffs` counting the rechecked modules whose new
+/// interface has the digest of the stale one it replaced) (hit_rate
+/// derived at emission), `batch.wavefront.max_width`; timers
 /// `modules.instantiate`, `modules.serialize` plus the regular phase
 /// timers (`parser.parse` times each module's parse).
 ///

@@ -15,7 +15,6 @@
 #include <set>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace fg;
 using namespace fg::modules;
@@ -156,17 +155,28 @@ uint64_t fg::modules::interfaceHash(
 
 namespace {
 
-/// Writes types and concept references, recording every concept id and
-/// type-parameter id it writes, so the reference table can list exactly
-/// the imported concepts and aliases an interface mentions.
+/// Writes types and concept references.  Concept and type-parameter ids
+/// are local to the compiler that checked the module, so each is written
+/// as a key numbered densely in order of first appearance, one numbering
+/// for concepts and one for parameters: a body edit that mints one more
+/// id leaves the interface's bytes alone.  The key maps also give the
+/// reference table exactly the imported concepts and aliases an
+/// interface mentions.
 struct Writer {
   std::ostream &OS;
-  std::unordered_set<unsigned> Concepts;
-  std::unordered_set<unsigned> Params;
+  std::unordered_map<unsigned, unsigned> ConceptKeys;
+  std::unordered_map<unsigned, unsigned> ParamKeys;
+
+  static unsigned key(std::unordered_map<unsigned, unsigned> &Keys,
+                      unsigned Id) {
+    return Keys.try_emplace(Id, static_cast<unsigned>(Keys.size()))
+        .first->second;
+  }
+  unsigned conceptKey(unsigned Id) { return key(ConceptKeys, Id); }
+  unsigned paramKey(unsigned Id) { return key(ParamKeys, Id); }
 
   void ref(const ConceptRef &R) {
-    Concepts.insert(R.ConceptId);
-    OS << "(ref " << R.ConceptId;
+    OS << "(ref " << conceptKey(R.ConceptId);
     for (const Type *A : R.Args) {
       OS << " ";
       type(A);
@@ -187,7 +197,7 @@ struct Writer {
   void paramList(const char *Head, const std::vector<TypeParamDecl> &Ps) {
     OS << "(" << Head;
     for (const TypeParamDecl &P : Ps)
-      OS << " (" << P.Id << " " << P.Name << ")";
+      OS << " (" << paramKey(P.Id) << " " << P.Name << ")";
     OS << ")";
   }
 };
@@ -202,8 +212,7 @@ void Writer::type(const Type *T) {
     return;
   case TypeKind::Param: {
     const auto *P = cast<ParamType>(T);
-    Params.insert(P->getId());
-    OS << "(p " << P->getId() << " " << P->getName() << ")";
+    OS << "(p " << paramKey(P->getId()) << " " << P->getName() << ")";
     return;
   }
   case TypeKind::Arrow: {
@@ -239,7 +248,8 @@ void Writer::type(const Type *T) {
     OS << "(all (";
     bool First = true;
     for (const TypeParamDecl &P : F->getParams()) {
-      OS << (First ? "" : " ") << "(" << P.Id << " " << P.Name << ")";
+      OS << (First ? "" : " ") << "(" << paramKey(P.Id) << " " << P.Name
+         << ")";
       First = false;
     }
     OS << ") (reqs";
@@ -259,8 +269,8 @@ void Writer::type(const Type *T) {
   }
   case TypeKind::Assoc: {
     const auto *A = cast<AssocType>(T);
-    Concepts.insert(A->getConceptId());
-    OS << "(assoc " << A->getConceptId() << " " << A->getMember();
+    OS << "(assoc " << conceptKey(A->getConceptId()) << " "
+       << A->getMember();
     for (const Type *Arg : A->getArgs()) {
       OS << " ";
       type(Arg);
@@ -283,11 +293,11 @@ std::string fg::modules::serializeInterface(const ModuleInterface &I,
   // Own declarations in spine order: each references only earlier ones.
   for (const auto &D : I.Decls) {
     if (const auto *CI = std::get_if<ConceptInfo>(&D)) {
-      Body << " (cdecl " << CI->Id << " " << CI->Name << " ";
+      Body << " (cdecl " << W.conceptKey(CI->Id) << " " << CI->Name << " ";
       W.paramList("params", CI->Params);
       Body << " (assocs";
       for (const AssocTypeDecl &A : CI->Assocs)
-        Body << " (" << A.ParamId << " " << A.Name << ")";
+        Body << " (" << W.paramKey(A.ParamId) << " " << A.Name << ")";
       Body << ") (refines";
       for (const ConceptRef &R : CI->Refines) {
         Body << " ";
@@ -307,7 +317,7 @@ std::string fg::modules::serializeInterface(const ModuleInterface &I,
       Body << "))\n";
     } else {
       const auto &A = std::get<AliasExport>(D);
-      Body << " (adecl " << A.ParamId << " " << A.Name << " ";
+      Body << " (adecl " << W.paramKey(A.ParamId) << " " << A.Name << " ";
       W.type(A.Target);
       Body << ")\n";
     }
@@ -316,9 +326,8 @@ std::string fg::modules::serializeInterface(const ModuleInterface &I,
 
   Body << "(models\n";
   for (const ModelExport &M : I.Models) {
-    W.Concepts.insert(M.ConceptId);
     Body << " (mdl " << (M.Name ? *M.Name : std::string("_")) << " "
-         << M.DictVar << " " << M.ConceptId << " ";
+         << M.DictVar << " " << W.conceptKey(M.ConceptId) << " ";
     W.paramList("params", M.Params);
     Body << " (reqs";
     for (const ConceptRef &R : M.Requirements) {
@@ -372,14 +381,14 @@ std::string fg::modules::serializeInterface(const ModuleInterface &I,
   OS << "(decls\n";
   // Imported entities first (no dependencies among references), in the
   // deterministic map order.
-  for (const auto &[Key, Id] : Env.ConceptIds)
-    if (W.Concepts.count(Id))
-      OS << " (cref " << Id << " " << Key.first << " " << Key.second
-         << ")\n";
-  for (const auto &[Key, Id] : Env.AliasParams)
-    if (W.Params.count(Id))
-      OS << " (aref " << Id << " " << Key.first << " " << Key.second
-         << ")\n";
+  for (const auto &[Origin, Id] : Env.ConceptIds)
+    if (auto It = W.ConceptKeys.find(Id); It != W.ConceptKeys.end())
+      OS << " (cref " << It->second << " " << Origin.first << " "
+         << Origin.second << ")\n";
+  for (const auto &[Origin, Id] : Env.AliasParams)
+    if (auto It = W.ParamKeys.find(Id); It != W.ParamKeys.end())
+      OS << " (aref " << It->second << " " << Origin.first << " "
+         << Origin.second << ")\n";
   OS << Body.str();
   return OS.str();
 }
@@ -857,6 +866,13 @@ bool fg::modules::parseInterface(std::string Text, ParsedInterface &Out,
   if (!HashS || HashS->size() != 2 || !(*HashS)[1].isAtom() ||
       !parseHex((*HashS)[1].atom(), Out.Hash))
     return fail("missing or malformed hash");
+  // The digest is of everything a dependent observes: the whole text
+  // but the `(hash ...)` field, which keys this module's own source.
+  // Only blanks separate the field's parentheses from its two atoms.
+  std::string_view T = Out.Text, Hex = (*HashS)[1].atom();
+  size_t Open = T.rfind('(', (*HashS)[0].atom().data() - T.data());
+  size_t Close = T.find(')', Hex.data() + Hex.size() - T.data()) + 1;
+  Out.Digest = fnv1a64(T.substr(Close), fnv1a64(T.substr(0, Open)));
   // A leaf module legitimately records no deps.
   if (std::optional<Sexp> DepsS = findField(Root, "deps"))
     for (size_t I = 1; I != DepsS->size(); ++I) {

@@ -18,14 +18,16 @@
 ///   * top-level value bindings with their F_G types;
 ///   * the type of the tail expression.
 ///
-/// The wire format is a versioned S-expression (`(fgi 2 ...)`).  Types
-/// serialize with the producing compiler's raw parameter/concept ids as
-/// keys; on load every key is remapped — declarations mint fresh ids in
-/// the consumer's TypeContext, references (`cref`/`aref`) resolve
-/// through the consumer's ImportEnv to the ids minted when the
-/// *declaring* module's interface was instantiated.  Cross-module
-/// identity is therefore (declaring module, exported name), independent
-/// of any compiler-local numbering.  The reference table lists only the
+/// The wire format is a versioned S-expression (`(fgi 3 ...)`).  Types
+/// serialize with keys for the producing compiler's parameter and
+/// concept ids, numbered densely in order of first appearance, so the
+/// bytes do not depend on how many ids the compiler minted before.  On
+/// load every key is remapped — declarations mint fresh ids in the
+/// consumer's TypeContext, references (`cref`/`aref`) resolve through
+/// the consumer's ImportEnv to the ids minted when the *declaring*
+/// module's interface was instantiated.  Cross-module identity is
+/// therefore (declaring module, exported name), independent of any
+/// compiler-local numbering.  The reference table lists only the
 /// imported concepts and aliases the interface itself mentions, so an
 /// interface's size follows its module, not its import cone.
 ///
@@ -33,10 +35,18 @@
 /// answers cache validation and invalidation attribution, and every
 /// dependent instantiates from it without re-reading the text.
 ///
-/// The interface hash is FNV-1a 64 over the format version, the module
-/// source text, and the direct dependencies' interface hashes, so a
-/// change anywhere in the dependency cone invalidates every interface
-/// above it.
+/// Two FNV-1a 64 values tie an interface to what it was built from:
+///
+///   * its *hash* (the `hash` field), the cache key: the format version,
+///     the module's source text, and its direct dependencies' digests;
+///   * its *digest*, computed by parseInterface: everything a dependent
+///     can observe, that is the whole text but the `hash` field.  The
+///     text records the direct dependencies' digests, so a digest covers
+///     every interface below it (a Merkle chain).
+///
+/// So a change to any interface in the closure invalidates every
+/// interface above it, and an edit that leaves its module's interface
+/// unchanged invalidates that module alone (early cutoff).
 ///
 /// Known limitation: concept-member *default bodies* are terms and are
 /// not serialized; a module whose model relies on a default declared in
@@ -101,7 +111,7 @@ struct ValueExport {
 struct ModuleInterface {
   std::string ModuleName;
   uint64_t Hash = 0;
-  /// Direct dependencies in import order, with their interface hashes.
+  /// Direct dependencies in import order, with their interface digests.
   std::vector<std::pair<std::string, uint64_t>> Deps;
   std::vector<std::variant<ConceptInfo, AliasExport>> Decls;
   std::vector<ModelExport> Models;
@@ -157,7 +167,7 @@ const Term *buildExportProbe(TermArena &Arena, const Term *ModuleBody,
 //===----------------------------------------------------------------------===//
 
 /// The interface hash of a module: format version + source text +
-/// direct dependencies' (name, interface hash) in import order.
+/// direct dependencies' (name, interface digest) in import order.
 uint64_t interfaceHash(const std::string &Source,
                        const std::vector<std::pair<std::string, uint64_t>>
                            &Deps);
@@ -176,8 +186,9 @@ bool buildInterface(Frontend &FE, const ImportEnv &Env,
 
 /// The `.fgi` wire-format version.  It heads every interface and salts
 /// every interface hash, so an interface of any other version is a
-/// cache miss and is rebuilt.
-inline constexpr unsigned InterfaceFormatVersion = 2;
+/// cache miss and is rebuilt.  Version 3 numbers keys densely and
+/// records digests, not hashes, in `deps`.
+inline constexpr unsigned InterfaceFormatVersion = 3;
 
 /// Renders \p I in the `.fgi` wire format.  \p Env classifies referenced
 /// concepts/aliases as own declarations or imports; only the imports
@@ -192,7 +203,10 @@ std::string serializeInterface(const ModuleInterface &I,
 struct ParsedInterface {
   std::string ModuleName;
   uint64_t Hash = 0;
-  /// Direct dependencies in import order, with their interface hashes.
+  /// Everything a dependent can observe of this interface and, through
+  /// the digests in Deps, of every interface below it.
+  uint64_t Digest = 0;
+  /// Direct dependencies in import order, with their interface digests.
   std::vector<std::pair<std::string, uint64_t>> Deps;
 
   /// One S-expression node: an atom (offset and length in Text) or a

@@ -78,7 +78,9 @@ std::string ModuleLoader::resolveImport(const std::string &Name,
   auto tryDir = [&](const fs::path &Dir) -> std::string {
     fs::path Candidate = Dir / (Name + ".fg");
     std::error_code EC;
-    if (fs::exists(Candidate, EC))
+    // Only a regular file (through symlinks) is a module, so a
+    // directory named `<Name>.fg` does not hide one on a later path.
+    if (fs::is_regular_file(Candidate, EC))
       return Candidate.string();
     Searched.push_back(Dir.empty() ? std::string(".") : Dir.string());
     return "";

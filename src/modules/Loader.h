@@ -152,7 +152,8 @@ private:
   bool parseClosure(Frontend &FE, const std::vector<const ModuleUnit *> &Order,
                     std::vector<const Term *> &Asts,
                     std::string &Error) const;
-  /// Resolves `import Name;` appearing in \p ImporterDir.  Empty on
+  /// Resolves `import Name;` appearing in \p ImporterDir to the first
+  /// regular file `Name.fg` there or along the search paths.  Empty on
   /// failure, with the searched directories listed in \p Error.
   std::string resolveImport(const std::string &Name,
                             const std::string &ImporterDir,

@@ -22,8 +22,9 @@
 //     the last -O on the command line is the level;
 //   * batch workers check modules nested past the default thread stack;
 //   * a program opens one way (fg::open): a missing file or a directory
-//     is a `cannot read` error, a parse error in a module prints once,
-//     and a module header in source text is an error at the header.
+//     is a `cannot read` error, an import skips a directory named like
+//     its module, a parse error in a module prints once, and a module
+//     header in source text is an error at the header.
 //
 //===----------------------------------------------------------------------===//
 
@@ -453,8 +454,8 @@ TEST(DriverCliTest, OversizedIntegerLiteralIsADiagnostic) {
 
 // fgc reads every file through the module loader, so a path that is
 // not a readable file fails before anything compiles, with the
-// loader's message: a directory is not an empty program, whether it is
-// named on the command line or an import resolves to it.
+// loader's message: a directory is not an empty program when it is
+// named on the command line, and not a module when an import finds it.
 TEST(DriverCliTest, UnreadablePathsAreLoaderErrors) {
   ScratchDir Dir("fgc_cli_unreadable");
   fs::create_directories(Dir.P / "dep.fg");
@@ -463,7 +464,8 @@ TEST(DriverCliTest, UnreadablePathsAreLoaderErrors) {
   const std::pair<std::string, std::string> Cases[] = {
       {Dir.str(), "cannot read `" + Dir.str() + "`: is a directory"},
       {(Dir.P / "main.fg").string(),
-       "cannot read `" + (Dir.P / "dep.fg").string() + "`: is a directory"},
+       (Dir.P / "main.fg").string() +
+           ": module `dep` not found (searched: " + Dir.str() + ")"},
       {Missing, "cannot read `" + Missing + "`"},
   };
   for (const auto &[Path, Message] : Cases) {
@@ -472,6 +474,28 @@ TEST(DriverCliTest, UnreadablePathsAreLoaderErrors) {
     EXPECT_EQ(R.Stderr, "fgc: error: " + Message + "\n");
     EXPECT_TRUE(R.Stdout.empty()) << R.Stdout;
   }
+}
+
+// An import resolves to the first regular file `<m>.fg` along its
+// search paths: a directory of that name next to the importer does not
+// hide the module on a later -I path, when linking or in a batch.
+TEST(DriverCliTest, DirectoryNamedLikeAModuleDoesNotHideIt) {
+  ScratchDir Dir("fgc_cli_import_dir"), Cache("fgc_cli_import_dir_cache");
+  fs::create_directories(Dir.P / "a" / "dep.fg");
+  fs::create_directories(Dir.P / "lib");
+  std::ofstream(Dir.P / "lib" / "dep.fg") << "module dep;\nlet d = 41 in 0\n";
+  std::ofstream(Dir.P / "a" / "main.fg")
+      << "module main;\nimport dep;\niadd(d, 1)\n";
+  const std::string Args =
+      "-I " + (Dir.P / "lib").string() + " " + (Dir.P / "a" / "main.fg").string();
+  RunResult Link = runFgc(Args);
+  EXPECT_EQ(Link.ExitCode, 0) << Link.Stderr;
+  EXPECT_NE(Link.Stdout.find("value: 42"), std::string::npos) << Link.Stdout;
+  RunResult Batch = runFgc("--batch --module-cache=" + Cache.str() + " " + Args);
+  EXPECT_EQ(Batch.ExitCode, 0) << Batch.Stderr;
+  EXPECT_NE(Batch.Stdout.find("batch: 2 modules, 2 checked, 0 cached"),
+            std::string::npos)
+      << Batch.Stdout;
 }
 
 // A parse error in a module is printed once, as the rendered

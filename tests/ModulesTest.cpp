@@ -9,7 +9,7 @@
 // cycle rejection, whole-program linking (must agree with the
 // equivalent single-file program), separate compilation against
 // serialized interfaces, interface round-tripping, and the on-disk
-// cache with its hash-cascade invalidation.
+// cache with its digest-cascade invalidation and early cutoff.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +58,31 @@ protected:
     std::stringstream SS;
     SS << In.rdbuf();
     return SS.str();
+  }
+
+  /// Edits module file \p Name so that its interface changes: one more
+  /// exported value, declared right after the `module` and `import`
+  /// lines.
+  void addExport(const std::string &Name) {
+    std::string Text = readAll((Dir / Name).string());
+    size_t BodyStart = 0;
+    for (size_t Pos = 0; Pos < Text.size();) {
+      size_t Eol = Text.find('\n', Pos);
+      size_t Next = Eol == std::string::npos ? Text.size() : Eol + 1;
+      if (Text.compare(Pos, 7, "module ") == 0 ||
+          Text.compare(Pos, 7, "import ") == 0)
+        BodyStart = Next;
+      Pos = Next;
+    }
+    write(Name, Text.insert(BodyStart, "let edit_export = 1 in\n"));
+  }
+
+  /// The interface text from its declarations on: everything but the
+  /// header that records the module's hash and its imports' digests.
+  static std::string exportsOf(const std::string &FgiPath) {
+    std::string Text = readAll(FgiPath);
+    size_t Decls = Text.find("(decls");
+    return Decls == std::string::npos ? "" : Text.substr(Decls);
   }
 
   /// Writes the diamond used by several tests:
@@ -277,11 +302,10 @@ TEST_F(ModulesTest, DependencyEditInvalidatesWholeCone) {
     ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
     ASSERT_TRUE(batch(Loader, {Root}).Success);
   }
-  // Touch `left` only: `left` and `top` must recompile, `base` and
-  // `right` stay cached (the hash covers the dependency cone, not the
-  // whole graph).
-  std::string Left = readAll((Dir / "left.fg").string());
-  write("left.fg", Left + "// edited\n");
+  // Change `left`'s interface only: `left` and `top` must recompile,
+  // `base` and `right` stay cached (the key covers the import closure's
+  // interfaces, not the whole graph).
+  addExport("left.fg");
   ModuleLoader Loader;
   std::string Root, Error;
   ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
@@ -439,7 +463,7 @@ TEST_F(ModulesTest, InterfaceHashCoversSourceAndDeps) {
   EXPECT_NE(H1, interfaceHash("src", {}));
   // The value itself is pinned: a changed hash function or format salt
   // would make every user's .fgi cache miss.
-  EXPECT_EQ(H1, 0xcbdbd9c075e3db05ull);
+  EXPECT_EQ(H1, 0x7f03438675e1de9aull);
 }
 
 //===----------------------------------------------------------------------===//
@@ -675,11 +699,10 @@ TEST_F(ModulesTest, CorpusChain64DeepInvalidationRipplesFromLeaf) {
       EXPECT_TRUE(R.CacheHit) << R.Module;
   }
 
-  // Edit the leaf: the content hash changes, and the interface-hash
-  // cascade must invalidate the entire 64-deep chain above it — the
-  // leaf attributed to its source, all 63 dependents transitively.
-  std::string Leaf = readAll((Dir / "m0000.fg").string());
-  write("m0000.fg", Leaf + "// leaf edited\n");
+  // Change the leaf's interface: the digest cascade must invalidate the
+  // entire 64-deep chain above it — the leaf attributed to its source,
+  // all 63 dependents transitively.
+  addExport("m0000.fg");
   ModuleLoader Loader;
   std::string Root, Error;
   ASSERT_TRUE(
@@ -720,16 +743,15 @@ TEST_F(ModulesTest, CorpusFanIn64WideRootChecksAndCaches) {
   ASSERT_TRUE(Cold.Success);
   EXPECT_EQ(Cold.Results.size(), 65u);
 
-  // A second run is 65 hits; an edit to one foundation invalidates
-  // exactly itself and the root — the other 63 stay cached.
+  // A second run is 65 hits; an edit to one foundation's interface
+  // invalidates exactly itself and the root — the other 63 stay cached.
   BatchResult Warm = batch(Loader, {Root}, /*Jobs=*/4);
   auto After = stats::Statistics::global().counters();
   ASSERT_TRUE(Warm.Success);
   EXPECT_EQ(After["modules.cache.hits"] - Before["modules.cache.hits"],
             65u);
 
-  std::string One = readAll((Dir / "m0007.fg").string());
-  write("m0007.fg", One + "// edited\n");
+  addExport("m0007.fg");
   ModuleLoader Fresh;
   std::string Root2, Error;
   ASSERT_TRUE(
@@ -744,6 +766,154 @@ TEST_F(ModulesTest, CorpusFanIn64WideRootChecksAndCaches) {
   EXPECT_EQ(Recompiled, 2u);
   EXPECT_FALSE(BR.find("m0007")->CacheHit);
   EXPECT_FALSE(BR.find("m0064")->CacheHit);
+}
+
+// Early cutoff: a comment leaves the leaf's interface as it was, so
+// only the leaf is rechecked and the 63 modules above it stay hits.
+TEST_F(ModulesTest, CorpusChain64CommentEditRechecksOnlyTheLeaf) {
+  corpus::CorpusOptions Opts;
+  Opts.Modules = 64;
+  Opts.Seed = 5;
+  Opts.GraphShape = corpus::Shape::Chain;
+  {
+    ModuleLoader Loader;
+    std::string Root;
+    loadCorpus(Dir, corpus::generate(Opts), Loader, Root);
+    ASSERT_TRUE(batch(Loader, {Root}).Success);
+  }
+
+  write("m0000.fg", readAll((Dir / "m0000.fg").string()) + "// edited\n");
+  ModuleLoader Loader;
+  std::string Root, Error;
+  ASSERT_TRUE(Loader.loadFile((Dir / "m0063.fg").string(), Root, Error))
+      << Error;
+  auto Before = stats::Statistics::global().counters();
+  BatchResult BR = batch(Loader, {Root});
+  auto After = stats::Statistics::global().counters();
+  ASSERT_TRUE(BR.Success);
+  auto delta = [&](const char *Counter) {
+    return After[Counter] - Before[Counter];
+  };
+  EXPECT_EQ(delta("modules.cache.misses"), 1u);
+  EXPECT_EQ(delta("modules.cache.hits"), 63u);
+  EXPECT_EQ(delta("modules.cache.cutoffs"), 1u);
+  EXPECT_EQ(delta("modules.cache.invalidations.source"), 1u);
+  EXPECT_FALSE(BR.find("m0000")->CacheHit);
+}
+
+/// `module a` binding `av` to \p Value.
+static std::string aSource(const std::string &Value) {
+  return "module a;\nlet av = " + Value + " in 0\n";
+}
+
+/// Writes a <- b <- c, where c uses a's `av` through b and b's own
+/// interface does not mention it; returns c.fg's path.  c evaluates to
+/// av + 2.
+static std::string writeChain(const fs::path &Dir) {
+  std::ofstream(Dir / "a.fg") << aSource("1");
+  std::ofstream(Dir / "b.fg") << "module b;\nimport a;\nlet bv = 2 in 0\n";
+  std::ofstream(Dir / "c.fg") << "module c;\nimport b;\niadd(av, bv)\n";
+  return (Dir / "c.fg").string();
+}
+
+// A value edit that keeps the value's type keeps `a`'s interface, so
+// `a` alone is rechecked, and the linked program sees the new value.
+TEST_F(ModulesTest, SameTypeValueEditRechecksOnlyItsModule) {
+  std::string C = writeChain(Dir);
+  std::string Root, Error;
+  {
+    ModuleLoader Loader;
+    ASSERT_TRUE(Loader.loadFile(C, Root, Error)) << Error;
+    ASSERT_TRUE(batch(Loader, {Root}).Success);
+    EXPECT_EQ(linkedValue(Loader, Root), "3");
+  }
+
+  write("a.fg", aSource("5"));
+  ModuleLoader Loader;
+  ASSERT_TRUE(Loader.loadFile(C, Root, Error)) << Error;
+  auto Before = stats::Statistics::global().counters();
+  BatchResult BR = batch(Loader, {Root});
+  auto After = stats::Statistics::global().counters();
+  ASSERT_TRUE(BR.Success);
+  EXPECT_FALSE(BR.find("a")->CacheHit);
+  EXPECT_TRUE(BR.find("b")->CacheHit);
+  EXPECT_TRUE(BR.find("c")->CacheHit);
+  EXPECT_EQ(After["modules.cache.misses"] - Before["modules.cache.misses"],
+            1u);
+  EXPECT_EQ(After["modules.cache.cutoffs"] - Before["modules.cache.cutoffs"],
+            1u);
+  EXPECT_EQ(linkedValue(Loader, Root), "7");
+}
+
+// Why a digest covers the interfaces below it: `av` turning into a bool
+// leaves `b`'s exports byte-identical, yet `c`, which uses `av` through
+// `b`, must be rechecked and fail.  Restoring `a` makes `c` a hit again.
+TEST_F(ModulesTest, TypeChangeBelowAnUnchangedInterfaceRechecksAbove) {
+  std::string C = writeChain(Dir);
+  auto build = [&]() {
+    ModuleLoader Loader;
+    std::string Root, Error;
+    EXPECT_TRUE(Loader.loadFile(C, Root, Error)) << Error;
+    return batch(Loader, {Root});
+  };
+  ASSERT_TRUE(build().Success);
+  std::string BExports = exportsOf((Dir / "b.fgi").string());
+  ASSERT_NE(BExports, "");
+
+  write("a.fg", aSource("true"));
+  BatchResult Bool = build();
+  EXPECT_FALSE(Bool.Success);
+  EXPECT_TRUE(Bool.find("a")->Success);
+  EXPECT_TRUE(Bool.find("b")->Success);
+  EXPECT_FALSE(Bool.find("b")->CacheHit);
+  EXPECT_EQ(exportsOf((Dir / "b.fgi").string()), BExports);
+  EXPECT_FALSE(Bool.find("c")->Success);
+  EXPECT_FALSE(Bool.find("c")->Skipped);
+  EXPECT_NE(Bool.find("c")->Error.find(
+                "argument 1 has type `bool` but `int` was expected"),
+            std::string::npos)
+      << Bool.find("c")->Error;
+
+  write("a.fg", aSource("1"));
+  BatchResult Restored = build();
+  EXPECT_TRUE(Restored.Success);
+  EXPECT_TRUE(Restored.find("c")->CacheHit);
+}
+
+// Interface keys are numbered by first appearance, not by the ids the
+// checker minted: a body edit that mints one more type parameter above
+// a concept declaration leaves `a`'s interface, and so the key of its
+// dependent, as they were.
+TEST_F(ModulesTest, BodyEditThatMintsIdsKeepsDependentsCached) {
+  auto aWith = [](const std::string &FBody) {
+    return "module a;\nlet f = fun(x : int). " + FBody +
+           " in\nconcept C<t> { op : fn(t) -> t; } in 0\n";
+  };
+  write("a.fg", aWith("x"));
+  std::string B = write("b.fg", "module b;\nimport a;\n"
+                                "model C<int> { op = f; } in C<int>.op(3)\n");
+  std::string Root, Error;
+  {
+    ModuleLoader Loader;
+    ASSERT_TRUE(Loader.loadFile(B, Root, Error)) << Error;
+    ASSERT_TRUE(batch(Loader, {Root}).Success);
+  }
+  std::string AExports = exportsOf((Dir / "a.fgi").string());
+  ASSERT_NE(AExports.find("(cdecl 0 C (params (0 t))"), std::string::npos)
+      << AExports;
+
+  write("a.fg", aWith("(forall u. fun(y : u). y)[int](x)"));
+  ModuleLoader Loader;
+  ASSERT_TRUE(Loader.loadFile(B, Root, Error)) << Error;
+  auto Before = stats::Statistics::global().counters();
+  BatchResult BR = batch(Loader, {Root});
+  auto After = stats::Statistics::global().counters();
+  ASSERT_TRUE(BR.Success);
+  EXPECT_FALSE(BR.find("a")->CacheHit);
+  EXPECT_TRUE(BR.find("b")->CacheHit);
+  EXPECT_EQ(exportsOf((Dir / "a.fgi").string()), AExports);
+  EXPECT_EQ(After["modules.cache.cutoffs"] - Before["modules.cache.cutoffs"],
+            1u);
 }
 
 TEST_F(ModulesTest, ParsedInterfaceDepsRoundTrip) {
@@ -764,6 +934,16 @@ TEST_F(ModulesTest, ParsedInterfaceDepsRoundTrip) {
   // The stored hash must be reproducible from source + stored deps —
   // the property the transitive-invalidation attribution relies on.
   EXPECT_EQ(P.Hash, interfaceHash(readAll((Dir / "top.fg").string()), P.Deps));
+
+  // Each recorded dependency is that interface's digest: the links of
+  // the Merkle chain.
+  for (const auto &[Name, Digest] : P.Deps) {
+    ParsedInterface D;
+    ASSERT_TRUE(
+        parseInterface(readAll((Dir / (Name + ".fgi")).string()), D, Error))
+        << Error;
+    EXPECT_EQ(Digest, D.Digest) << Name;
+  }
 
   ParsedInterface Leaf;
   ASSERT_TRUE(
@@ -811,7 +991,7 @@ TEST_F(ModulesTest, UnreadableCacheFileIsAMiss) {
     EXPECT_EQ(readAll((Dir / (std::string(M) + ".fgi")).string()), Good[M])
         << M;
   }
-  // The rebuilt interfaces hash as before, so their dependent still hits.
+  // The rebuilt interfaces keep their digests, so their dependent hits.
   EXPECT_TRUE(BR.find("top")->CacheHit);
   for (const auto &E : fs::directory_iterator(Dir))
     EXPECT_EQ(E.path().string().find(".tmp."), std::string::npos)
