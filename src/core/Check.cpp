@@ -531,10 +531,11 @@ const sf::Term *Checker::buildModelDict(const ModelResolution &R,
 //===----------------------------------------------------------------------===//
 
 bool Checker::checkTypeWellFormed(const Type *T, SourceLocation Loc) {
+  auto ChildrenWellFormed = [&] {
+    return allChildren(
+        T, [&](const Type *C) { return checkTypeWellFormed(C, Loc); });
+  };
   switch (T->getKind()) {
-  case TypeKind::Int:
-  case TypeKind::Bool:
-    return true;
   case TypeKind::Param: {
     const auto *P = cast<ParamType>(T);
     if (ParamsInScope.count(P->getId()))
@@ -542,21 +543,6 @@ bool Checker::checkTypeWellFormed(const Type *T, SourceLocation Loc) {
     Diags.error(Loc, "type variable `" + P->getName() + "` is not in scope");
     return false;
   }
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(T);
-    for (const Type *P : A->getParams())
-      if (!checkTypeWellFormed(P, Loc))
-        return false;
-    return checkTypeWellFormed(A->getResult(), Loc);
-  }
-  case TypeKind::Tuple: {
-    for (const Type *E : cast<TupleType>(T)->getElements())
-      if (!checkTypeWellFormed(E, Loc))
-        return false;
-    return true;
-  }
-  case TypeKind::List:
-    return checkTypeWellFormed(cast<ListType>(T)->getElement(), Loc);
   case TypeKind::Assoc: {
     const auto *A = cast<AssocType>(T);
     const ConceptInfo *Info = getConcept(A->getConceptId(), Loc);
@@ -578,9 +564,8 @@ bool Checker::checkTypeWellFormed(const Type *T, SourceLocation Loc) {
                            A->getMember() + "`");
       return false;
     }
-    for (const Type *Arg : A->getArgs())
-      if (!checkTypeWellFormed(Arg, Loc))
-        return false;
+    if (!ChildrenWellFormed())
+      return false;
     // Rule TYASC: an associated type is only meaningful where a model of
     // the concept is in scope.  Concept declarations are exempt — their
     // member types are re-checked at every use site.
@@ -612,9 +597,9 @@ bool Checker::checkTypeWellFormed(const Type *T, SourceLocation Loc) {
       return false;
     return checkTypeWellFormed(F->getBody(), Loc);
   }
+  default:
+    return ChildrenWellFormed();
   }
-  assert(false && "unknown type kind");
-  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -922,12 +907,7 @@ Checker::processWhereClause(ScopeMark &Scope,
 }
 
 const Type *Checker::resolveAssocs(const Type *T) {
-  switch (T->getKind()) {
-  case TypeKind::Int:
-  case TypeKind::Bool:
-  case TypeKind::Param:
-    return T;
-  case TypeKind::Assoc: {
+  if (isa<AssocType>(T)) {
     const Type *R = representative(T);
     if (R == T && TranslationInProgress.insert(T).second) {
       // Give parameterized models a chance to produce a ground fact.
@@ -942,50 +922,9 @@ const Type *Checker::resolveAssocs(const Type *T) {
       TranslationInProgress.erase(T);
       return Out;
     }
-    const auto *A = cast<AssocType>(T);
-    std::vector<const Type *> Args;
-    for (const Type *Arg : A->getArgs())
-      Args.push_back(resolveAssocs(Arg));
-    return FgCtx.getAssocType(A->getConceptId(), A->getConceptName(),
-                              std::move(Args), A->getMember());
   }
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(T);
-    std::vector<const Type *> Params;
-    for (const Type *P : A->getParams())
-      Params.push_back(resolveAssocs(P));
-    return FgCtx.getArrowType(std::move(Params),
-                              resolveAssocs(A->getResult()));
-  }
-  case TypeKind::Tuple: {
-    std::vector<const Type *> Elems;
-    for (const Type *E : cast<TupleType>(T)->getElements())
-      Elems.push_back(resolveAssocs(E));
-    return FgCtx.getTupleType(std::move(Elems));
-  }
-  case TypeKind::List:
-    return FgCtx.getListType(
-        resolveAssocs(cast<ListType>(T)->getElement()));
-  case TypeKind::ForAll: {
-    const auto *F = cast<ForAllType>(T);
-    std::vector<ConceptRef> Reqs;
-    for (const ConceptRef &R : F->getRequirements()) {
-      ConceptRef Out;
-      Out.ConceptId = R.ConceptId;
-      Out.ConceptName = R.ConceptName;
-      for (const Type *A : R.Args)
-        Out.Args.push_back(resolveAssocs(A));
-      Reqs.push_back(std::move(Out));
-    }
-    std::vector<TypeEquation> Eqs;
-    for (const TypeEquation &E : F->getEquations())
-      Eqs.push_back({resolveAssocs(E.Lhs), resolveAssocs(E.Rhs)});
-    return FgCtx.getForAllType(F->getParams(), std::move(Reqs),
-                               std::move(Eqs), resolveAssocs(F->getBody()));
-  }
-  }
-  assert(false && "unknown type kind");
-  return T;
+  return mapChildren(FgCtx, T,
+                     [this](const Type *C) { return resolveAssocs(C); });
 }
 
 //===----------------------------------------------------------------------===//

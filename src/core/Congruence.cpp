@@ -73,37 +73,19 @@ unsigned Congruence::internNode(const Type *T) {
   if (It != NodeOf.end())
     return It->second;
 
-  // Intern operands first so that this node's signature is computable.
+  // Constants: int, bool, parameters, and quantified types, which are
+  // opaque individuals here; their alpha-classes are already collapsed
+  // by hash-consing.  Every other type applies a constructor to its
+  // children, whose nodes are interned first so that this node's
+  // signature is computable.
+  bool IsApp = !isa<IntType>(T) && !isa<BoolType>(T) &&
+               !isa<ParamType>(T) && !isa<ForAllType>(T);
   std::vector<unsigned> Children;
-  bool IsApp = true;
-  switch (T->getKind()) {
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(T);
-    for (const Type *P : A->getParams())
-      Children.push_back(internNode(P));
-    Children.push_back(internNode(A->getResult()));
-    break;
-  }
-  case TypeKind::Tuple:
-    for (const Type *E : cast<TupleType>(T)->getElements())
-      Children.push_back(internNode(E));
-    break;
-  case TypeKind::List:
-    Children.push_back(internNode(cast<ListType>(T)->getElement()));
-    break;
-  case TypeKind::Assoc:
-    for (const Type *A : cast<AssocType>(T)->getArgs())
-      Children.push_back(internNode(A));
-    break;
-  case TypeKind::Int:
-  case TypeKind::Bool:
-  case TypeKind::Param:
-  case TypeKind::ForAll:
-    // Constants.  Quantified types are opaque individuals here; their
-    // alpha-classes are already collapsed by hash-consing.
-    IsApp = false;
-    break;
-  }
+  if (IsApp)
+    allChildren(T, [&](const Type *C) {
+      Children.push_back(internNode(C));
+      return true;
+    });
 
   unsigned Id = Nodes.size();
   [[maybe_unused]] unsigned UFId = UF.makeNode();

@@ -348,48 +348,29 @@ const Type *Interpreter::normalize(const Type *T, const Env &E,
   if (NormDepth > 128)
     return T; // Give up; a later lookup will fail with a message.
   const Type *S = Ctx.substitute(T, envSubst(E.Types));
-  // Resolve associated types structurally.
-  switch (S->getKind()) {
-  case TypeKind::Int:
-  case TypeKind::Bool:
-  case TypeKind::Param:
-  case TypeKind::ForAll:
+  // Resolve associated types structurally; quantified types stay as
+  // they are.
+  if (isa<ForAllType>(S))
     return S;
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(S);
-    std::vector<const Type *> Params;
-    for (const Type *P : A->getParams())
-      Params.push_back(normalize(P, E, NormDepth + 1));
-    return Ctx.getArrowType(std::move(Params),
-                            normalize(A->getResult(), E, NormDepth + 1));
+  auto Normalize = [&](const Type *C) {
+    return normalize(C, E, NormDepth + 1);
+  };
+  const auto *A = dyn_cast<AssocType>(S);
+  if (!A)
+    return mapChildren(Ctx, S, Normalize);
+  std::vector<const Type *> Args;
+  for (const Type *Arg : A->getArgs())
+    Args.push_back(Normalize(Arg));
+  std::string Err;
+  std::shared_ptr<const RuntimeModel> M =
+      resolveModel(A->getConceptId(), Args, E, NormDepth + 1, Err);
+  if (M) {
+    auto It = M->AssocTypes.find(A->getMember());
+    if (It != M->AssocTypes.end())
+      return It->second;
   }
-  case TypeKind::Tuple: {
-    std::vector<const Type *> Elems;
-    for (const Type *El : cast<TupleType>(S)->getElements())
-      Elems.push_back(normalize(El, E, NormDepth + 1));
-    return Ctx.getTupleType(std::move(Elems));
-  }
-  case TypeKind::List:
-    return Ctx.getListType(
-        normalize(cast<ListType>(S)->getElement(), E, NormDepth + 1));
-  case TypeKind::Assoc: {
-    const auto *A = cast<AssocType>(S);
-    std::vector<const Type *> Args;
-    for (const Type *Arg : A->getArgs())
-      Args.push_back(normalize(Arg, E, NormDepth + 1));
-    std::string Err;
-    std::shared_ptr<const RuntimeModel> M =
-        resolveModel(A->getConceptId(), Args, E, NormDepth + 1, Err);
-    if (M) {
-      auto It = M->AssocTypes.find(A->getMember());
-      if (It != M->AssocTypes.end())
-        return It->second;
-    }
-    return Ctx.getAssocType(A->getConceptId(), A->getConceptName(),
-                            std::move(Args), A->getMember());
-  }
-  }
-  return S;
+  return Ctx.getAssocType(A->getConceptId(), A->getConceptName(),
+                          std::move(Args), A->getMember());
 }
 
 std::shared_ptr<const RuntimeModel>

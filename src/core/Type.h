@@ -26,6 +26,10 @@
 /// Semantic equality modulo same-type constraints is decided separately
 /// by the congruence closure (core/Congruence.h).
 ///
+/// allChildren and mapChildren, at the end of this file, name a type's
+/// children and their order; the walks over types that recurse the same
+/// way at every kind go through them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FG_CORE_TYPE_H
@@ -86,6 +90,16 @@ class Type {
 public:
   TypeKind getKind() const { return Kind; }
 
+  /// The hash the TypeContext stored when it interned this node, made
+  /// from the node's own fields and its children's stored hashes:
+  /// parameters hash by id, and a forall hashes as its
+  /// getBinderBlindHash(), so alpha-equivalent types hash alike.
+  size_t getHash() const { return Hash; }
+
+  /// Like getHash(), except that every parameter, bound or free,
+  /// hashes alike.
+  size_t getBinderBlindHash() const { return BlindHash; }
+
   Type(const Type &) = delete;
   Type &operator=(const Type &) = delete;
   virtual ~Type() = default;
@@ -94,7 +108,10 @@ protected:
   explicit Type(TypeKind K) : Kind(K) {}
 
 private:
+  friend class TypeContext;
   TypeKind Kind;
+  size_t Hash = 0;
+  size_t BlindHash = 0;
 };
 
 class IntType : public Type {
@@ -320,6 +337,114 @@ private:
   unsigned NextParamId = 0;
   unsigned NextConceptId = 0;
 };
+
+/// Calls \p Fn on each child type of \p T in one fixed order — the
+/// Arrow parameters, then its result; the Tuple elements; the List
+/// element; the Assoc arguments; the ForAll requirement arguments, then
+/// each equation's left and right side, then the body — and stops at
+/// the first call that returns false.  Returns false exactly when some
+/// call did.  Binders are the caller's business: the callback sees a
+/// forall's where clause and body without its parameters bound.
+template <typename FnT> bool allChildren(const Type *T, FnT &&Fn) {
+  auto All = [&](const std::vector<const Type *> &Children) {
+    for (const Type *C : Children)
+      if (!Fn(C))
+        return false;
+    return true;
+  };
+  switch (T->getKind()) {
+  case TypeKind::Int:
+  case TypeKind::Bool:
+  case TypeKind::Param:
+    return true;
+  case TypeKind::Arrow: {
+    const auto *A = cast<ArrowType>(T);
+    return All(A->getParams()) && Fn(A->getResult());
+  }
+  case TypeKind::Tuple:
+    return All(cast<TupleType>(T)->getElements());
+  case TypeKind::List:
+    return Fn(cast<ListType>(T)->getElement());
+  case TypeKind::Assoc:
+    return All(cast<AssocType>(T)->getArgs());
+  case TypeKind::ForAll: {
+    const auto *F = cast<ForAllType>(T);
+    for (const ConceptRef &R : F->getRequirements())
+      if (!All(R.Args))
+        return false;
+    for (const TypeEquation &E : F->getEquations())
+      if (!Fn(E.Lhs) || !Fn(E.Rhs))
+        return false;
+    return Fn(F->getBody());
+  }
+  }
+  return true;
+}
+
+/// Rebuilds \p T with each child type C replaced by Fn(C), calling
+/// \p Fn in allChildren's order.  Returns \p T itself when every call
+/// returned its argument; otherwise the node of \p T's kind that
+/// \p Ctx's factory interns for the new children, with the forall
+/// parameters, concept ids and names and member name copied.
+template <typename FnT>
+const Type *mapChildren(TypeContext &Ctx, const Type *T, FnT &&Fn) {
+  bool Changed = false;
+  auto One = [&](const Type *C) {
+    const Type *New = Fn(C);
+    Changed |= New != C;
+    return New;
+  };
+  auto All = [&](const std::vector<const Type *> &Children) {
+    std::vector<const Type *> New;
+    New.reserve(Children.size());
+    for (const Type *C : Children)
+      New.push_back(One(C));
+    return New;
+  };
+  switch (T->getKind()) {
+  case TypeKind::Int:
+  case TypeKind::Bool:
+  case TypeKind::Param:
+    return T;
+  case TypeKind::Arrow: {
+    const auto *A = cast<ArrowType>(T);
+    std::vector<const Type *> Params = All(A->getParams());
+    const Type *Result = One(A->getResult());
+    return Changed ? Ctx.getArrowType(std::move(Params), Result) : T;
+  }
+  case TypeKind::Tuple: {
+    std::vector<const Type *> Elems = All(cast<TupleType>(T)->getElements());
+    return Changed ? Ctx.getTupleType(std::move(Elems)) : T;
+  }
+  case TypeKind::List: {
+    const Type *Elem = One(cast<ListType>(T)->getElement());
+    return Changed ? Ctx.getListType(Elem) : T;
+  }
+  case TypeKind::Assoc: {
+    const auto *A = cast<AssocType>(T);
+    std::vector<const Type *> Args = All(A->getArgs());
+    return Changed ? Ctx.getAssocType(A->getConceptId(), A->getConceptName(),
+                                      std::move(Args), A->getMember())
+                   : T;
+  }
+  case TypeKind::ForAll: {
+    const auto *F = cast<ForAllType>(T);
+    std::vector<ConceptRef> Reqs;
+    Reqs.reserve(F->getRequirements().size());
+    for (const ConceptRef &R : F->getRequirements())
+      Reqs.push_back({R.ConceptId, R.ConceptName, All(R.Args)});
+    std::vector<TypeEquation> Eqs;
+    Eqs.reserve(F->getEquations().size());
+    for (const TypeEquation &E : F->getEquations())
+      Eqs.push_back({One(E.Lhs), One(E.Rhs)});
+    const Type *Body = One(F->getBody());
+    return Changed ? Ctx.getForAllType(F->getParams(), std::move(Reqs),
+                                       std::move(Eqs), Body)
+                   : T;
+  }
+  }
+  return T;
+}
 
 /// Renders a type in the paper's concrete syntax.
 std::string typeToString(const Type *T);

@@ -12,14 +12,13 @@
 using namespace fg;
 using namespace fg::server;
 
-ArtifactPtr ArtifactCache::get(const CacheKey &Key) const {
+ArtifactPtr ArtifactCache::find(const CacheKey &Key) const {
   static std::atomic<uint64_t> &Hits =
       stats::Statistics::global().counter("server.artifact_cache.hits");
   static std::atomic<uint64_t> &Misses =
       stats::Statistics::global().counter("server.artifact_cache.misses");
   static std::atomic<uint64_t> &Collisions =
       stats::Statistics::global().counter("server.artifact_cache.collisions");
-  std::lock_guard<std::mutex> Lock(Mu);
   auto It = Map.find(Key.Hash);
   if (It == Map.end()) {
     ++Misses;
@@ -38,10 +37,35 @@ ArtifactPtr ArtifactCache::get(const CacheKey &Key) const {
   return It->second.A;
 }
 
+ArtifactCache::Lookup ArtifactCache::acquire(const CacheKey &Key) {
+  static std::atomic<uint64_t> &Waits =
+      stats::Statistics::global().counter("server.artifact_cache.waits");
+  std::unique_lock<std::mutex> Lock(Mu);
+  // A colliding key waits too; its lookup then misses, as a released
+  // waiter's does, and it compiles unclaimed.
+  bool Waited = Compiling.count(Key.Hash) != 0;
+  if (Waited) {
+    ++Waits;
+    CompileEnded.wait(Lock, [&] { return !Compiling.count(Key.Hash); });
+  }
+  Lookup L;
+  L.A = find(Key);
+  L.Claimed = !L.A && !Waited;
+  if (L.Claimed)
+    Compiling.insert(Key.Hash);
+  return L;
+}
+
+void ArtifactCache::endCompile(const CacheKey &Key) {
+  if (Compiling.erase(Key.Hash))
+    CompileEnded.notify_all();
+}
+
 void ArtifactCache::put(const CacheKey &Key, ArtifactPtr A) {
   static std::atomic<uint64_t> &Evictions =
       stats::Statistics::global().counter("server.artifact_cache.evictions");
   std::lock_guard<std::mutex> Lock(Mu);
+  endCompile(Key);
   if (!Map.emplace(Key.Hash, Entry{Key, std::move(A)}).second)
     return; // First writer won (or a colliding key lost the slot).
   InsertionOrder.push_back(Key.Hash);
@@ -50,6 +74,11 @@ void ArtifactCache::put(const CacheKey &Key, ArtifactPtr A) {
     InsertionOrder.pop_front();
     ++Evictions;
   }
+}
+
+void ArtifactCache::release(const CacheKey &Key) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  endCompile(Key);
 }
 
 void ArtifactCache::clear() {

@@ -135,11 +135,13 @@ Outcome Session::cached(const std::string &Kind, const char *TimerName,
     O.Error = P.error();
     return O;
   }
-  // A hit compares the source text byte for byte (ArtifactCache::get);
+  // A hit compares the source text byte for byte (ArtifactCache::acquire);
   // the program's key covers the buffer name, or the whole import cone.
+  // A miss while another request compiles the same key waits for it.
   CacheKey Key = ArtifactCache::key(Kind, Source, P.key());
-  if (ArtifactPtr A = Cache->get(Key))
-    return fromArtifact(A);
+  ArtifactCache::Lookup L = Cache->acquire(Key);
+  if (L.A)
+    return fromArtifact(L.A);
 
   stats::ScopedTimer Timer(TimerName);
   Frontend FE;
@@ -148,6 +150,8 @@ Outcome Session::cached(const std::string &Kind, const char *TimerName,
     Then(FE, Out, O);
   if (!O.BackendUnavailable) // See Outcome::BackendUnavailable.
     Cache->put(Key, toArtifact(O));
+  else if (L.Claimed)
+    Cache->release(Key);
   return O;
 }
 
@@ -225,9 +229,10 @@ Outcome Session::eval(const std::string &RawInput, Backend Engine) {
   }
 
   // Declaration probe: the input must form a valid spine item, i.e.
-  // `<scope> <input> in 0` must compile.
+  // `<scope> <input> in 0` must compile.  The `in 0` goes on a line of
+  // its own, so that a diagnostic quotes the input as typed.
   Frontend FE;
-  CompileOutput Probe = FE.compile("<repl>", Decls + Input + " in 0");
+  CompileOutput Probe = FE.compile("<repl>", Decls + Input + "\nin 0");
   if (!Probe.Success) {
     O.Success = false;
     O.Diagnostics = FE.getDiags().render();
@@ -237,7 +242,10 @@ Outcome Session::eval(const std::string &RawInput, Backend Engine) {
   O.IsDecl = true;
   O.DeclKind = firstWord(Input);
   O.DeclName = declaredName(Input, O.DeclKind);
-  Decls += Input + " in\n";
+  // `in` goes on a line of its own when a `//` comment on the input's
+  // last line would swallow it (rfind's npos + 1 is 0).
+  bool Comment = Input.find("//", Input.rfind('\n') + 1) != std::string::npos;
+  Decls += Input + (Comment ? "\nin\n" : " in\n");
   // For a value binding, report the bound name's type.
   if (O.DeclKind == "let" && !O.DeclName.empty()) {
     Frontend FE2;

@@ -25,30 +25,12 @@ namespace {
 /// guard: nested instantiation chains double their argument size every
 /// level, so capping it bounds the clone cascade.
 size_t typeSize(const Type *T) {
-  switch (T->getKind()) {
-  case TypeKind::Int:
-  case TypeKind::Bool:
-  case TypeKind::Param:
-    return 1;
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(T);
-    size_t N = 1 + typeSize(A->getResult());
-    for (const Type *P : A->getParams())
-      N += typeSize(P);
-    return N;
-  }
-  case TypeKind::Tuple: {
-    size_t N = 1;
-    for (const Type *E : cast<TupleType>(T)->getElements())
-      N += typeSize(E);
-    return N;
-  }
-  case TypeKind::List:
-    return 1 + typeSize(cast<ListType>(T)->getElement());
-  case TypeKind::ForAll:
-    return 1 + typeSize(cast<ForAllType>(T)->getBody());
-  }
-  return 1;
+  size_t N = 1;
+  allChildren(T, [&](const Type *C) {
+    N += typeSize(C);
+    return true;
+  });
+  return N;
 }
 
 //===--------------------------------------------------------------------===//

@@ -18,8 +18,9 @@ using namespace fg::sf;
 
 namespace {
 
-/// Stack of binder param ids in binding order; a bound parameter hashes
-/// and compares by its distance from the top rather than by its id.
+/// Stack of binder param ids in binding order; inside two foralls being
+/// compared, a bound parameter compares by its distance from the top
+/// rather than by its id.
 using BinderStack = std::vector<unsigned>;
 
 /// Returns the de Bruijn-style index of \p Id in \p Binders, or -1 if
@@ -35,123 +36,94 @@ size_t combineHash(size_t Seed, size_t V) {
   return Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2));
 }
 
-size_t hashTypeImpl(const Type *T, BinderStack &Binders) {
-  size_t H = static_cast<size_t>(T->getKind()) * 0x9e3779b1u;
+/// The arity of a node: what, besides its kind, its children and its
+/// parameter id, tells two nodes apart.
+size_t arity(const Type *T) {
   switch (T->getKind()) {
-  case TypeKind::Int:
-  case TypeKind::Bool:
-    return H;
-  case TypeKind::Param: {
-    const auto *P = cast<ParamType>(T);
-    int Idx = lookupBinder(Binders, P->getId());
-    if (Idx >= 0)
-      return combineHash(H, 0xB0B0B0B0u + static_cast<size_t>(Idx));
-    return combineHash(H, 0xF1F1F1F1u + P->getId());
+  case TypeKind::Arrow:
+    return cast<ArrowType>(T)->getNumParams();
+  case TypeKind::Tuple:
+    return cast<TupleType>(T)->getNumElements();
+  case TypeKind::ForAll:
+    return cast<ForAllType>(T)->getNumParams();
+  default:
+    return 0;
   }
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(T);
-    for (const Type *P : A->getParams())
-      H = combineHash(H, hashTypeImpl(P, Binders));
-    return combineHash(H, hashTypeImpl(A->getResult(), Binders));
-  }
-  case TypeKind::Tuple: {
-    const auto *Tu = cast<TupleType>(T);
-    H = combineHash(H, Tu->getNumElements());
-    for (const Type *E : Tu->getElements())
-      H = combineHash(H, hashTypeImpl(E, Binders));
-    return H;
-  }
-  case TypeKind::List:
-    return combineHash(H, hashTypeImpl(cast<ListType>(T)->getElement(),
-                                       Binders));
-  case TypeKind::ForAll: {
-    const auto *F = cast<ForAllType>(T);
-    H = combineHash(H, F->getNumParams());
-    size_t Before = Binders.size();
-    for (const TypeParamDecl &P : F->getParams())
-      Binders.push_back(P.Id);
-    H = combineHash(H, hashTypeImpl(F->getBody(), Binders));
-    Binders.resize(Before);
-    return H;
-  }
-  }
-  assert(false && "unknown type kind");
-  return H;
 }
 
+/// True when \p A and \p B agree on everything but their children and
+/// parameter ids.
+bool sameShape(const Type *A, const Type *B) {
+  return A->getKind() == B->getKind() && arity(A) == arity(B);
+}
+
+/// Calls \p Fn on the paired children of two nodes of the same shape,
+/// in allChildren's order, and stops at the first false.
+template <typename FnT>
+bool zipChildren(const Type *A, const Type *B, FnT &&Fn) {
+  // Most nodes have a few children; a wider one spills to the heap.
+  constexpr size_t InlineCount = 8;
+  const Type *Inline[InlineCount] = {};
+  std::vector<const Type *> Spilled;
+  size_t N = 0;
+  allChildren(B, [&](const Type *C) {
+    if (N == InlineCount)
+      Spilled.assign(Inline, Inline + InlineCount);
+    if (N < InlineCount)
+      Inline[N] = C;
+    else
+      Spilled.push_back(C);
+    ++N;
+    return true;
+  });
+  const Type *const *Right = N > InlineCount ? Spilled.data() : Inline;
+  size_t I = 0;
+  return allChildren(A, [&](const Type *C) { return Fn(C, Right[I++]); });
+}
+
+/// Alpha-equivalence of \p A and \p B, whose children are interned,
+/// under the binders \p BA and \p BB.  Interned nodes under no binders
+/// are equivalent only when they are one node, so the children of two
+/// nodes other than foralls compare by pointer, and the only walk left
+/// is the one over two foralls' bodies under binder stacks.
 bool alphaEqualImpl(const Type *A, const Type *B, BinderStack &BA,
                     BinderStack &BB) {
-  // Identical nodes under identical binder stacks are trivially equal.
-  if (A == B && BA == BB)
-    return true;
-  if (A->getKind() != B->getKind())
+  if (A->getBinderBlindHash() != B->getBinderBlindHash() || !sameShape(A, B))
     return false;
-  switch (A->getKind()) {
-  case TypeKind::Int:
-  case TypeKind::Bool:
-    return true;
-  case TypeKind::Param: {
-    const auto *PA = cast<ParamType>(A);
-    const auto *PB = cast<ParamType>(B);
+  if (const auto *PA = dyn_cast<ParamType>(A)) {
+    unsigned IdB = cast<ParamType>(B)->getId();
     int IA = lookupBinder(BA, PA->getId());
-    int IB = lookupBinder(BB, PB->getId());
+    int IB = lookupBinder(BB, IdB);
     if (IA >= 0 || IB >= 0)
       return IA == IB;
-    return PA->getId() == PB->getId();
+    return PA->getId() == IdB;
   }
-  case TypeKind::Arrow: {
-    const auto *AA = cast<ArrowType>(A);
-    const auto *AB = cast<ArrowType>(B);
-    if (AA->getNumParams() != AB->getNumParams())
-      return false;
-    for (unsigned I = 0, E = AA->getNumParams(); I != E; ++I)
-      if (!alphaEqualImpl(AA->getParams()[I], AB->getParams()[I], BA, BB))
-        return false;
-    return alphaEqualImpl(AA->getResult(), AB->getResult(), BA, BB);
-  }
-  case TypeKind::Tuple: {
-    const auto *TA = cast<TupleType>(A);
-    const auto *TB = cast<TupleType>(B);
-    if (TA->getNumElements() != TB->getNumElements())
-      return false;
-    for (unsigned I = 0, E = TA->getNumElements(); I != E; ++I)
-      if (!alphaEqualImpl(TA->getElement(I), TB->getElement(I), BA, BB))
-        return false;
-    return true;
-  }
-  case TypeKind::List:
-    return alphaEqualImpl(cast<ListType>(A)->getElement(),
-                          cast<ListType>(B)->getElement(), BA, BB);
-  case TypeKind::ForAll: {
-    const auto *FA = cast<ForAllType>(A);
-    const auto *FB = cast<ForAllType>(B);
-    if (FA->getNumParams() != FB->getNumParams())
-      return false;
-    size_t BeforeA = BA.size(), BeforeB = BB.size();
+  size_t BeforeA = BA.size(), BeforeB = BB.size();
+  if (const auto *FA = dyn_cast<ForAllType>(A)) {
     for (const TypeParamDecl &P : FA->getParams())
       BA.push_back(P.Id);
-    for (const TypeParamDecl &P : FB->getParams())
+    for (const TypeParamDecl &P : cast<ForAllType>(B)->getParams())
       BB.push_back(P.Id);
-    bool Eq = alphaEqualImpl(FA->getBody(), FB->getBody(), BA, BB);
-    BA.resize(BeforeA);
-    BB.resize(BeforeB);
-    return Eq;
   }
-  }
-  assert(false && "unknown type kind");
-  return false;
+  bool Eq = zipChildren(A, B, [&](const Type *CA, const Type *CB) {
+    if (BA.empty() && BB.empty())
+      return CA == CB;
+    return (CA == CB && BA == BB) || alphaEqualImpl(CA, CB, BA, BB);
+  });
+  BA.resize(BeforeA);
+  BB.resize(BeforeB);
+  return Eq;
 }
 
 } // namespace
 
 size_t TypeContext::Hash::operator()(const Type *T) const {
-  BinderStack Binders;
-  return hashTypeImpl(T, Binders);
+  return T->getHash();
 }
 
 bool TypeContext::AlphaEq::operator()(const Type *A, const Type *B) const {
   BinderStack BA, BB;
-  return alphaEqualImpl(A, B, BA, BB);
+  return A->getHash() == B->getHash() && alphaEqualImpl(A, B, BA, BB);
 }
 
 //===----------------------------------------------------------------------===//
@@ -167,6 +139,19 @@ TypeContext::~TypeContext() = default;
 
 const Type *TypeContext::intern(Type *Candidate) {
   std::unique_ptr<Type> Holder(Candidate);
+  size_t Blind = combineHash(
+      static_cast<size_t>(Candidate->getKind()) * 0x9e3779b1u,
+      arity(Candidate));
+  size_t H = Blind;
+  if (const auto *P = dyn_cast<ParamType>(Candidate))
+    H = combineHash(H, P->getId());
+  allChildren(Candidate, [&](const Type *C) {
+    H = combineHash(H, C->Hash);
+    Blind = combineHash(Blind, C->BlindHash);
+    return true;
+  });
+  Candidate->Hash = isa<ForAllType>(Candidate) ? Blind : H;
+  Candidate->BlindHash = Blind;
   auto It = Uniq.find(Candidate);
   if (It != Uniq.end())
     return *It;
@@ -204,76 +189,32 @@ const Type *TypeContext::getForAllType(std::vector<TypeParamDecl> Params,
 const Type *TypeContext::substitute(const Type *T, const TypeSubst &Subst) {
   if (Subst.empty())
     return T;
-  switch (T->getKind()) {
-  case TypeKind::Int:
-  case TypeKind::Bool:
-    return T;
-  case TypeKind::Param: {
-    auto It = Subst.find(cast<ParamType>(T)->getId());
+  if (const auto *P = dyn_cast<ParamType>(T)) {
+    auto It = Subst.find(P->getId());
     return It == Subst.end() ? T : It->second;
   }
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(T);
-    std::vector<const Type *> Params;
-    Params.reserve(A->getNumParams());
-    for (const Type *P : A->getParams())
-      Params.push_back(substitute(P, Subst));
-    return getArrowType(std::move(Params), substitute(A->getResult(), Subst));
-  }
-  case TypeKind::Tuple: {
-    const auto *Tu = cast<TupleType>(T);
-    std::vector<const Type *> Elems;
-    Elems.reserve(Tu->getNumElements());
-    for (const Type *E : Tu->getElements())
-      Elems.push_back(substitute(E, Subst));
-    return getTupleType(std::move(Elems));
-  }
-  case TypeKind::List:
-    return getListType(substitute(cast<ListType>(T)->getElement(), Subst));
-  case TypeKind::ForAll: {
-    const auto *F = cast<ForAllType>(T);
-    // Binder ids are globally unique; the substitution's domain can only
-    // mention binders that have been opened, never this one.
+  // Binder ids are globally unique; the substitution's domain can only
+  // mention binders that have been opened, never this one.
+  if (const auto *F = dyn_cast<ForAllType>(T))
     for ([[maybe_unused]] const TypeParamDecl &P : F->getParams())
       assert(!Subst.count(P.Id) && "substitution would capture a binder");
-    return getForAllType(F->getParams(), substitute(F->getBody(), Subst));
-  }
-  }
-  assert(false && "unknown type kind");
-  return T;
+  return mapChildren(*this, T,
+                     [&](const Type *C) { return substitute(C, Subst); });
 }
 
 void TypeContext::collectFreeParams(const Type *T,
                                     std::unordered_set<unsigned> &Out) const {
-  switch (T->getKind()) {
-  case TypeKind::Int:
-  case TypeKind::Bool:
-    return;
-  case TypeKind::Param:
-    Out.insert(cast<ParamType>(T)->getId());
-    return;
-  case TypeKind::Arrow: {
-    const auto *A = cast<ArrowType>(T);
-    for (const Type *P : A->getParams())
-      collectFreeParams(P, Out);
-    collectFreeParams(A->getResult(), Out);
+  if (const auto *P = dyn_cast<ParamType>(T)) {
+    Out.insert(P->getId());
     return;
   }
-  case TypeKind::Tuple:
-    for (const Type *E : cast<TupleType>(T)->getElements())
-      collectFreeParams(E, Out);
-    return;
-  case TypeKind::List:
-    collectFreeParams(cast<ListType>(T)->getElement(), Out);
-    return;
-  case TypeKind::ForAll: {
-    const auto *F = cast<ForAllType>(T);
-    collectFreeParams(F->getBody(), Out);
+  allChildren(T, [&](const Type *C) {
+    collectFreeParams(C, Out);
+    return true;
+  });
+  if (const auto *F = dyn_cast<ForAllType>(T))
     for (const TypeParamDecl &P : F->getParams())
       Out.erase(P.Id);
-    return;
-  }
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,6 +18,10 @@
 /// hashes modulo alpha-equivalence, so *pointer equality coincides with
 /// alpha-equivalence* everywhere in the compiler.
 ///
+/// allChildren and mapChildren, at the end of this file, name a type's
+/// children and their order; the walks over types that recurse the same
+/// way at every kind go through them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FG_SYSTEMF_TYPE_H
@@ -64,6 +68,16 @@ class Type {
 public:
   TypeKind getKind() const { return Kind; }
 
+  /// The hash the TypeContext stored when it interned this node, made
+  /// from the node's own fields and its children's stored hashes:
+  /// parameters hash by id, and a forall hashes as its
+  /// getBinderBlindHash(), so alpha-equivalent types hash alike.
+  size_t getHash() const { return Hash; }
+
+  /// Like getHash(), except that every parameter, bound or free,
+  /// hashes alike.
+  size_t getBinderBlindHash() const { return BlindHash; }
+
   Type(const Type &) = delete;
   Type &operator=(const Type &) = delete;
   virtual ~Type() = default;
@@ -74,6 +88,8 @@ protected:
 private:
   friend class TypeContext;
   TypeKind Kind;
+  size_t Hash = 0;
+  size_t BlindHash = 0;
 };
 
 /// The base type of machine integers.
@@ -242,6 +258,86 @@ private:
   std::deque<std::unique_ptr<Type>> Owned;
   unsigned NextParamId = 0;
 };
+
+/// Calls \p Fn on each child type of \p T in one fixed order — the
+/// Arrow parameters, then its result; the Tuple elements; the List
+/// element; the ForAll body — and stops at the first call that returns
+/// false.  Returns false exactly when some call did.  Binders are the
+/// caller's business: the callback sees a forall's body without its
+/// parameters bound.
+template <typename FnT> bool allChildren(const Type *T, FnT &&Fn) {
+  switch (T->getKind()) {
+  case TypeKind::Int:
+  case TypeKind::Bool:
+  case TypeKind::Param:
+    return true;
+  case TypeKind::Arrow: {
+    const auto *A = cast<ArrowType>(T);
+    for (const Type *P : A->getParams())
+      if (!Fn(P))
+        return false;
+    return Fn(A->getResult());
+  }
+  case TypeKind::Tuple:
+    for (const Type *E : cast<TupleType>(T)->getElements())
+      if (!Fn(E))
+        return false;
+    return true;
+  case TypeKind::List:
+    return Fn(cast<ListType>(T)->getElement());
+  case TypeKind::ForAll:
+    return Fn(cast<ForAllType>(T)->getBody());
+  }
+  return true;
+}
+
+/// Rebuilds \p T with each child type C replaced by Fn(C), calling
+/// \p Fn in allChildren's order.  Returns \p T itself when every call
+/// returned its argument; otherwise the node of \p T's kind that
+/// \p Ctx's factory interns for the new children, with a forall's
+/// parameters copied.
+template <typename FnT>
+const Type *mapChildren(TypeContext &Ctx, const Type *T, FnT &&Fn) {
+  bool Changed = false;
+  auto One = [&](const Type *C) {
+    const Type *New = Fn(C);
+    Changed |= New != C;
+    return New;
+  };
+  auto All = [&](const std::vector<const Type *> &Children) {
+    std::vector<const Type *> New;
+    New.reserve(Children.size());
+    for (const Type *C : Children)
+      New.push_back(One(C));
+    return New;
+  };
+  switch (T->getKind()) {
+  case TypeKind::Int:
+  case TypeKind::Bool:
+  case TypeKind::Param:
+    return T;
+  case TypeKind::Arrow: {
+    const auto *A = cast<ArrowType>(T);
+    std::vector<const Type *> Params = All(A->getParams());
+    const Type *Result = One(A->getResult());
+    return Changed ? Ctx.getArrowType(std::move(Params), Result) : T;
+  }
+  case TypeKind::Tuple: {
+    std::vector<const Type *> Elems = All(cast<TupleType>(T)->getElements());
+    return Changed ? Ctx.getTupleType(std::move(Elems)) : T;
+  }
+  case TypeKind::List: {
+    const Type *Elem = One(cast<ListType>(T)->getElement());
+    return Changed ? Ctx.getListType(Elem) : T;
+  }
+  case TypeKind::ForAll: {
+    const auto *F = cast<ForAllType>(T);
+    const Type *Body = One(F->getBody());
+    return Changed ? Ctx.getForAllType(F->getParams(), Body) : T;
+  }
+  }
+  return T;
+}
 
 /// Renders \p T in the paper's concrete syntax, e.g.
 /// "forall t. fn(list t, fn(t, t) -> t, t) -> t".

@@ -13,8 +13,9 @@
 //     producing exactly the documented output;
 //   * the command-line contract shared with fgc (DriverCliTest):
 //     `--help`/`-h` to stdout exit 0, usage errors to stderr exit 2;
-//   * input nested past the default thread stack, answered by
-//     `--stdio` and `--repl` with the session going on.
+//   * input nested past the default thread stack, and a type 50,000
+//     levels deep, answered by `--stdio` and `--repl` with the session
+//     going on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,12 +60,16 @@ RunResult runFgcd(const std::string &Args) {
 }
 
 /// Runs `fgcd <Mode>` on \p Input; the result has its stdout only.
-RunResult feedFgcd(const std::string &Mode, const std::string &Input) {
+/// With \p TimeoutSeconds set, fgcd is stopped after that long.
+RunResult feedFgcd(const std::string &Mode, const std::string &Input,
+                   int TimeoutSeconds = 0) {
   std::string Script = std::string("/tmp/fgcd_in_") +
                        std::to_string(::getpid()) + ".txt";
   std::ofstream(Script) << Input;
+  std::string Timeout =
+      TimeoutSeconds ? "timeout " + std::to_string(TimeoutSeconds) + " " : "";
   RunResult R;
-  R.ExitCode = capture(std::string(FG_FGCD_PATH) + " " + Mode + " < " +
+  R.ExitCode = capture(Timeout + FG_FGCD_PATH + " " + Mode + " < " +
                            Script + " 2>/dev/null",
                        R.Stdout);
   std::remove(Script.c_str());
@@ -156,6 +161,28 @@ TEST(FgcdDeepTest, StdioAnswersADeepCheckAndTheNextRequest) {
       << R.Stdout;
   EXPECT_NE(R.Stdout.find("{\"id\":2,\"ok\":true,"), std::string::npos)
       << R.Stdout;
+}
+
+// `fun(x : list list ... int). 1` with 50,000 `list`s, about 250 KB.
+// Interning a type costs the same at every depth, so the check is
+// answered in well under a second; when each intern rehashed its whole
+// subtree, it took minutes.  `timeout` turns a hang into a failure.
+TEST(FgcdDeepTest, StdioAnswersADeepTypeAndTheNextRequest) {
+  std::string Lists;
+  for (int I = 0; I != 50000; ++I)
+    Lists += "list ";
+  RunResult R = feedFgcd("--stdio",
+                         "{\"id\":1,\"method\":\"check\",\"params\":"
+                         "{\"source\":\"fun(x : " + Lists + "int). 1\"}}\n"
+                         "{\"id\":2,\"method\":\"version\"}\n",
+                         /*TimeoutSeconds=*/60);
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_NE(R.Stdout.find("{\"id\":1,\"ok\":true,\"result\":"
+                          "{\"success\":true,"),
+            std::string::npos)
+      << R.Stdout.substr(0, 200);
+  EXPECT_NE(R.Stdout.find("{\"id\":2,\"ok\":true,"), std::string::npos)
+      << R.Stdout.substr(0, 200);
 }
 
 TEST(FgcdDeepTest, ReplEvaluatesADeepInputAndTheNextLine) {

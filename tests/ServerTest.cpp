@@ -8,7 +8,8 @@
 // The compiler-server subsystem end to end:
 //
 //   * the self-contained JSON reader/writer (server/Json.h);
-//   * the bounded shared artifact cache and its content-hash keys;
+//   * the bounded shared artifact cache, its content-hash keys and its
+//     single-flight compiles;
 //   * the wire protocol over serveStream — every method, the error
 //     codes, and the compile-failure-is-a-result rule (docs/PROTOCOL.md
 //     is the spec these tests pin);
@@ -31,7 +32,10 @@
 #include "server/Session.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -150,11 +154,11 @@ TEST(ArtifactCacheTest, PutGetAndKinds) {
   EXPECT_NE(K1.Hash, ArtifactCache::key("check:v1", "iadd(1,3)").Hash);
   EXPECT_NE(K1.Hash, ArtifactCache::key("check:v1", "iadd(1,2)", 1).Hash)
       << "salt must affect the key";
-  EXPECT_EQ(C.get(K1), nullptr);
+  EXPECT_EQ(C.acquire(K1).A, nullptr);
   C.put(K1, A);
-  ASSERT_NE(C.get(K1), nullptr);
-  EXPECT_EQ(C.get(K1)->Type, "int");
-  EXPECT_EQ(C.get(K2), nullptr);
+  ASSERT_NE(C.acquire(K1).A, nullptr);
+  EXPECT_EQ(C.acquire(K1).A->Type, "int");
+  EXPECT_EQ(C.acquire(K2).A, nullptr);
 }
 
 TEST(ArtifactCacheTest, HashCollisionIsAMissNotAWrongAnswer) {
@@ -168,13 +172,13 @@ TEST(ArtifactCacheTest, HashCollisionIsAMissNotAWrongAnswer) {
   auto A = std::make_shared<Artifact>();
   A->Type = "int";
   C.put(Real, A);
-  EXPECT_NE(C.get(Real), nullptr);
-  EXPECT_EQ(C.get(Colliding), nullptr)
+  EXPECT_NE(C.acquire(Real).A, nullptr);
+  EXPECT_EQ(C.acquire(Colliding).A, nullptr)
       << "a colliding key must not serve another program's artifact";
   // The colliding program also cannot overwrite the original entry.
   C.put(Colliding, std::make_shared<Artifact>());
-  ASSERT_NE(C.get(Real), nullptr);
-  EXPECT_EQ(C.get(Real)->Type, "int");
+  ASSERT_NE(C.acquire(Real).A, nullptr);
+  EXPECT_EQ(C.acquire(Real).A->Type, "int");
 }
 
 TEST(ArtifactCacheTest, BoundedFifoEviction) {
@@ -187,9 +191,69 @@ TEST(ArtifactCacheTest, BoundedFifoEviction) {
   EXPECT_EQ(C.size(), 4u);
   // The oldest four are gone, the newest four remain.
   for (uint64_t I = 0; I < 4; ++I)
-    EXPECT_EQ(C.get(Key(I)), nullptr) << I;
+    EXPECT_EQ(C.acquire(Key(I)).A, nullptr) << I;
   for (uint64_t I = 4; I < 8; ++I)
-    EXPECT_NE(C.get(Key(I)), nullptr) << I;
+    EXPECT_NE(C.acquire(Key(I)).A, nullptr) << I;
+}
+
+/// Starts acquire(\p K) on a thread and returns once it is waiting for
+/// another caller's compile of \p K; \p Out receives its result.
+std::thread waitingAcquire(ArtifactCache &C, const CacheKey &K,
+                           ArtifactCache::Lookup &Out) {
+  std::atomic<uint64_t> &Waits =
+      stats::Statistics::global().counter("server.artifact_cache.waits");
+  uint64_t Before = Waits;
+  std::thread T([&C, &K, &Out] { Out = C.acquire(K); });
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Waits == Before && std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+  EXPECT_NE(Waits, Before) << "acquire did not wait";
+  return T;
+}
+
+TEST(ArtifactCacheTest, AMissDuringACompileWaitsForItsArtifact) {
+  ArtifactCache C(16);
+  CacheKey K = ArtifactCache::key("check:v1", "iadd(1,2)");
+  ArtifactCache::Lookup First = C.acquire(K);
+  EXPECT_EQ(First.A, nullptr);
+  ASSERT_TRUE(First.Claimed) << "the first miss compiles";
+  ArtifactCache::Lookup Second;
+  std::thread T = waitingAcquire(C, K, Second);
+  auto A = std::make_shared<Artifact>();
+  A->Type = "int";
+  C.put(K, A);
+  T.join();
+  EXPECT_FALSE(Second.Claimed);
+  ASSERT_NE(Second.A, nullptr) << "the waiter is served the artifact";
+  EXPECT_EQ(Second.A->Type, "int");
+}
+
+TEST(ArtifactCacheTest, AReleasedClaimSendsWaitersToCompile) {
+  ArtifactCache C(16);
+  CacheKey K = ArtifactCache::key("run:v2:aot:0", "iadd(1,2)");
+  ASSERT_TRUE(C.acquire(K).Claimed);
+  ArtifactCache::Lookup Second;
+  std::thread T = waitingAcquire(C, K, Second);
+  C.release(K);
+  T.join();
+  EXPECT_EQ(Second.A, nullptr);
+  EXPECT_FALSE(Second.Claimed) << "a released waiter compiles unclaimed";
+  EXPECT_TRUE(C.acquire(K).Claimed) << "the key is free again";
+  C.release(K);
+}
+
+TEST(ArtifactCacheTest, AWaiterIsNeverServedACollidingProgram) {
+  ArtifactCache C(16);
+  CacheKey Real = ArtifactCache::key("check:v1", "iadd(1,2)");
+  CacheKey Colliding = ArtifactCache::key("check:v1", "iadd(9,9)");
+  Colliding.Hash = Real.Hash;
+  ASSERT_TRUE(C.acquire(Real).Claimed);
+  ArtifactCache::Lookup L;
+  std::thread T = waitingAcquire(C, Colliding, L);
+  C.put(Real, std::make_shared<Artifact>());
+  T.join();
+  EXPECT_EQ(L.A, nullptr) << "another program's artifact";
+  EXPECT_FALSE(L.Claimed);
 }
 
 //===----------------------------------------------------------------------===//
@@ -814,6 +878,24 @@ TEST(SessionTest, ModelRedefinitionIsInnermostWins) {
   EXPECT_EQ(S.eval("Id<int>.v").Value, "2");
 }
 
+TEST(SessionTest, DeclarationMayEndInALineComment) {
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  Outcome D = S.eval("let x = 1 // one");
+  EXPECT_TRUE(D.Success) << D.Diagnostics;
+  EXPECT_EQ(S.eval("x").Value, "1");
+  EXPECT_TRUE(S.eval("let y = 2").Success);
+  EXPECT_EQ(S.decls(), "let x = 1 // one\nin\nlet y = 2 in\n");
+  // A rejected declaration's diagnostic quotes the input as typed.
+  Outcome Bad = S.eval("let z = iadd(true, 1)");
+  EXPECT_FALSE(Bad.Success);
+  EXPECT_NE(Bad.Diagnostics.find("  let z = iadd(true, 1)\n"),
+            std::string::npos)
+      << Bad.Diagnostics;
+  EXPECT_EQ(Bad.Diagnostics.find("in 0"), std::string::npos)
+      << Bad.Diagnostics;
+}
+
 TEST(SessionTest, FailedDeclarationDoesNotPolluteTheScope) {
   auto Cache = std::make_shared<ArtifactCache>();
   Session S(Cache);
@@ -1044,6 +1126,7 @@ TEST(ServerTest, SixteenConcurrentIsolatedSessions) {
   const std::string Check = "{\"id\":3,\"method\":\"check\",\"params\":"
                             "{\"source\":\"iadd(40,2)\"}}";
   std::vector<std::string> Values(N), Types(N);
+  std::vector<int> Compiled(N, 0);
   std::vector<std::thread> Threads;
   for (int I = 0; I < N; ++I)
     Threads.emplace_back([&, I] {
@@ -1061,13 +1144,14 @@ TEST(ServerTest, SixteenConcurrentIsolatedSessions) {
       ASSERT_NE(R, nullptr) << E.write();
       Values[I] = R->find("value") ? R->find("value")->asString() : "";
       // Identical source from every session, checked concurrently: the
-      // shared cache's gets and puts overlap.  The cache has no
-      // single-flight compile, so overlapping checks may each miss;
-      // only the answer is pinned here.
+      // shared cache's lookups and puts overlap.  Compiles are
+      // single-flight, so one check compiles and every other one is
+      // served its artifact, whether it waited for it or came later.
       Json K = C.request(Check);
       const Json *KR = K.find("result");
       ASSERT_NE(KR, nullptr) << K.write();
       Types[I] = KR->find("type") ? KR->find("type")->asString() : "";
+      Compiled[I] = KR->find("cached")->asBool() ? 0 : 1;
     });
   for (std::thread &T : Threads)
     T.join();
@@ -1076,6 +1160,8 @@ TEST(ServerTest, SixteenConcurrentIsolatedSessions) {
     EXPECT_EQ(Values[I], std::to_string(I + 100)) << "session " << I;
     EXPECT_EQ(Types[I], "int") << "session " << I;
   }
+  EXPECT_EQ(std::count(Compiled.begin(), Compiled.end(), 1), 1)
+      << "exactly one of the concurrent checks compiles";
 
   // The artifact is in the cache now: N fresh sessions checking the same
   // source concurrently are all served another session's artifact.
