@@ -49,6 +49,8 @@ const Type *fg::fgTypeFromSf(TypeContext &FgCtx, const sf::Type *T) {
     return FgCtx.getForAllType(std::move(Params), {}, {},
                                fgTypeFromSf(FgCtx, F->getBody()));
   }
+  case sf::TypeKind::Assoc: // System F has no associated types.
+    break;
   }
   assert(false && "unknown System F type kind");
   return nullptr;

@@ -242,7 +242,6 @@ size_t Checker::ModelQueryKeyHash::operator()(const ModelQueryKey &K) const {
 
 void Checker::setModelCacheEnabled(bool On) {
   ModelCacheEnabled = On;
-  LookupCache.clear();
   ResolveCache.clear();
   CC.setQueryCacheEnabled(On);
 }
@@ -251,71 +250,14 @@ void Checker::flushModelCachesIfStale() {
   if (CachedModelStackVersion == ModelStackVersion &&
       CachedCCVersion == CC.getVersion())
     return;
-  if (!LookupCache.empty() || !ResolveCache.empty()) {
+  if (!ResolveCache.empty()) {
     static std::atomic<uint64_t> &FlushCount =
         stats::Statistics::global().counter("checker.model_cache.flushes");
     ++FlushCount;
-    LookupCache.clear();
     ResolveCache.clear();
   }
   CachedModelStackVersion = ModelStackVersion;
   CachedCCVersion = CC.getVersion();
-}
-
-int Checker::lookupModelScan(unsigned ConceptId,
-                             const std::vector<const Type *> &Args) {
-  for (size_t I = Models.size(); I != 0; --I) {
-    const ModelRecord &M = Models[I - 1];
-    if (M.ConceptId != ConceptId || M.Args.size() != Args.size() ||
-        M.isParameterized())
-      continue;
-    bool Match = true;
-    for (size_t K = 0; Match && K != Args.size(); ++K)
-      Match = typesEqual(M.Args[K], Args[K]);
-    if (Match)
-      return static_cast<int>(I - 1);
-  }
-  return -1;
-}
-
-int Checker::lookupModel(unsigned ConceptId,
-                         const std::vector<const Type *> &Args) {
-  static std::atomic<uint64_t> &LookupCount =
-      stats::Statistics::global().counter("checker.model_lookups");
-  ++LookupCount;
-  if (!ModelCacheEnabled)
-    return lookupModelScan(ConceptId, Args);
-
-  // Canonicalize through class representatives only — semantically
-  // neutral (representative() materializes no new equations), unlike
-  // resolveAssocs, which may resolve parameterized models as a side
-  // effect and must not run on the cache-on path alone.
-  ModelQueryKey K{ConceptId, {}};
-  K.Args.reserve(Args.size());
-  for (const Type *A : Args)
-    K.Args.push_back(representative(A));
-
-  flushModelCachesIfStale();
-  auto It = LookupCache.find(K);
-  if (It != LookupCache.end()) {
-    static std::atomic<uint64_t> &HitCount =
-        stats::Statistics::global().counter("checker.model_cache.hits");
-    ++HitCount;
-    return It->second;
-  }
-  static std::atomic<uint64_t> &MissCount =
-      stats::Statistics::global().counter("checker.model_cache.misses");
-  ++MissCount;
-
-  uint64_t CCStamp = CC.getVersion();
-  uint64_t ModelStamp = ModelStackVersion;
-  int Result = lookupModelScan(ConceptId, Args);
-  // The scan itself can advance the closure (interning may discover
-  // congruences); an answer computed against a moving world is returned
-  // but not stored.
-  if (CC.getVersion() == CCStamp && ModelStackVersion == ModelStamp)
-    LookupCache.emplace(std::move(K), Result);
-  return Result;
 }
 
 bool Checker::matchType(const Type *Pattern, const Type *Query,

@@ -298,16 +298,6 @@ private:
                   const std::string &Member, const Type *&TyOut,
                   std::vector<unsigned> &PathOut);
 
-  /// Innermost model of (ConceptId, Args) modulo the congruence closure;
-  /// returns index into Models or -1.  Ground models only (used where a
-  /// parameterized match would be meaningless, e.g. overlap warnings).
-  /// Memoized; see the "Model-resolution memoization" section below.
-  int lookupModel(unsigned ConceptId, const std::vector<const Type *> &Args);
-
-  /// The uncached scan behind lookupModel.
-  int lookupModelScan(unsigned ConceptId,
-                      const std::vector<const Type *> &Args);
-
   /// Resolves a model for (ConceptId, Args), considering both ground
   /// models (equality modulo the congruence closure) and parameterized
   /// models (one-way matching of the argument patterns).  On a
@@ -372,13 +362,12 @@ private:
   // Resolving a model walks the whole model stack comparing argument
   // types up to the congruence closure — the hot path of rules TAPP and
   // MEM (every instantiation and member access).  Queries repeat
-  // heavily (the same `C<int>` is looked up once per use site), so both
-  // lookupModel and resolveModel memoize on (concept id, canonicalized
-  // argument types).
+  // heavily (the same `C<int>` is looked up once per use site), so
+  // resolveModel memoizes on (concept id, canonicalized argument types).
   //
   // Validity: a cached answer depends on (a) the model stack and (b)
-  // the congruence closure's knowledge.  The tables therefore carry a
-  // stamp (ModelStackVersion, CC.getVersion()) and are flushed on the
+  // the congruence closure's knowledge.  The table therefore carries a
+  // stamp (ModelStackVersion, CC.getVersion()) and is flushed on the
   // first query after either moves — model-scope entry/exit bumps the
   // former, merges and merge-undoing rollbacks bump the latter.
   //
@@ -403,8 +392,8 @@ private:
     size_t operator()(const ModelQueryKey &K) const;
   };
 
-  /// Clears both memo tables if the stamp they were filled under no
-  /// longer matches the world.
+  /// Clears the memo table if the stamp it was filled under no longer
+  /// matches the world.
   void flushModelCachesIfStale();
 
   /// Every mutation of the Models stack must pass through here (or bump
@@ -483,15 +472,14 @@ private:
   unsigned NextDictId = 0;
 
   /// Model-resolution memoization state (see the section above).
-  /// LookupCache backs lookupModel, ResolveCache backs resolveModel;
-  /// values are indices into Models, -1 for "no model".
+  /// ResolveCache backs resolveModel; values are indices into Models, -1
+  /// for "no model".
   bool ModelCacheEnabled = true;
   /// See setAllowConceptEscape().
   bool AllowConceptEscape = false;
   uint64_t ModelStackVersion = 0;
   uint64_t CachedModelStackVersion = 0;
   uint64_t CachedCCVersion = 0;
-  std::unordered_map<ModelQueryKey, int, ModelQueryKeyHash> LookupCache;
   std::unordered_map<ModelQueryKey, int, ModelQueryKeyHash> ResolveCache;
 };
 

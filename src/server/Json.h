@@ -77,13 +77,10 @@ public:
     return J;
   }
 
-  Kind kind() const { return K; }
   bool isNull() const { return K == Kind::Null; }
   bool isBool() const { return K == Kind::Bool; }
-  bool isInt() const { return K == Kind::Int; }
   bool isNumber() const { return K == Kind::Int || K == Kind::Double; }
   bool isString() const { return K == Kind::String; }
-  bool isArray() const { return K == Kind::Array; }
   bool isObject() const { return K == Kind::Object; }
 
   bool asBool() const { return B; }

@@ -9,48 +9,50 @@
 #include "modules/Loader.h"
 #include "support/Stats.h"
 #include "syntax/Frontend.h"
+#include "syntax/Lexer.h"
 #include "vm/Disasm.h"
 #include "vm/Emit.h"
-#include <cctype>
 
 using namespace fg;
 using namespace fg::server;
 
 namespace {
 
-/// First word of \p S after leading whitespace (REPL input
-/// classification; see docs/REPL.md).
-std::string firstWord(const std::string &S) {
-  size_t I = S.find_first_not_of(" \t\r\n");
-  if (I == std::string::npos)
-    return "";
-  size_t E = I;
-  while (E < S.size() &&
-         (std::isalnum(static_cast<unsigned char>(S[E])) || S[E] == '_'))
-    ++E;
-  return S.substr(I, E - I);
-}
+/// How a REPL input starts (docs/REPL.md §2), read with the resumable
+/// lexer as ModuleLoader::scanHeader reads a header, so comments and
+/// layout never matter: the first token, and for a declaration, its
+/// keyword and the name it declares, the next identifier (for
+/// `model [name] ...`, the bracketed name).
+struct InputStart {
+  TokenKind First = TokenKind::Eof;
+  std::string Keyword;
+  std::string Name;
+};
 
-bool isDeclKeyword(const std::string &W) {
-  return W == "let" || W == "concept" || W == "model" || W == "type" ||
-         W == "use";
-}
-
-/// Best-effort declared-name extraction for REPL feedback: the next
-/// identifier after the keyword (for `model [name] ...`, the bracketed
-/// name).
-std::string declaredName(const std::string &Input, const std::string &Kind) {
-  size_t I = Input.find(Kind) + Kind.size();
-  while (I < Input.size() &&
-         (std::isspace(static_cast<unsigned char>(Input[I])) ||
-          Input[I] == '['))
-    ++I;
-  size_t E = I;
-  while (E < Input.size() &&
-         (std::isalnum(static_cast<unsigned char>(Input[E])) ||
-          Input[E] == '_'))
-    ++E;
-  return Input.substr(I, E - I);
+InputStart scanStart(const std::string &Input) {
+  SourceManager SM;
+  DiagnosticEngine Diags(&SM);
+  Lexer Lex(SM, SM.addBuffer("<repl>", Input), Diags);
+  InputStart S;
+  Token Tok = Lex.next();
+  S.First = Tok.Kind;
+  switch (Tok.Kind) {
+  case TokenKind::KwLet:
+  case TokenKind::KwConcept:
+  case TokenKind::KwModel:
+  case TokenKind::KwType:
+  case TokenKind::KwUse:
+    break;
+  default:
+    return S;
+  }
+  S.Keyword = std::move(Tok.Text);
+  Tok = Lex.next();
+  if (Tok.is(TokenKind::LBracket))
+    Tok = Lex.next();
+  if (Tok.is(TokenKind::Ident))
+    S.Name = std::move(Tok.Text);
+  return S;
 }
 
 std::string trim(const std::string &S) {
@@ -200,12 +202,14 @@ Outcome Session::dumpBytecode(const std::string &Source,
 Outcome Session::eval(const std::string &RawInput, Backend Engine) {
   stats::ScopedTimer Timer("server.eval");
   std::string Input = trim(RawInput);
+  InputStart Start = scanStart(Input);
   Outcome O;
-  if (Input.empty()) {
+  // A blank or comment-only input declares and evaluates nothing.
+  if (Start.First == TokenKind::Eof) {
     O.Success = true;
     return O;
   }
-  bool DeclCandidate = isDeclKeyword(firstWord(Input));
+  bool DeclCandidate = !Start.Keyword.empty();
 
   // Expression attempt first: a complete expression (even one starting
   // with `let ... in ...`) evaluates; otherwise a leading declaration
@@ -240,8 +244,8 @@ Outcome Session::eval(const std::string &RawInput, Backend Engine) {
   }
   O.Success = true;
   O.IsDecl = true;
-  O.DeclKind = firstWord(Input);
-  O.DeclName = declaredName(Input, O.DeclKind);
+  O.DeclKind = Start.Keyword;
+  O.DeclName = Start.Name;
   // `in` goes on a line of its own when a `//` comment on the input's
   // last line would swallow it (rfind's npos + 1 is 0).
   bool Comment = Input.find("//", Input.rfind('\n') + 1) != std::string::npos;

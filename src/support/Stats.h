@@ -17,7 +17,7 @@
 ///     call site is
 ///
 ///         static std::atomic<uint64_t> &C =
-///             stats::Statistics::global().counter("checker.model_lookups");
+///             stats::Statistics::global().counter("congruence.queries");
 ///         ++C;
 ///
 ///     so the steady-state cost is one atomic increment — no map

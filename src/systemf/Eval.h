@@ -40,8 +40,6 @@ public:
   /// Applies a function value to arguments (exposed for builtins/tests).
   EvalResult apply(const ValuePtr &Fn, const std::vector<ValuePtr> &Args);
 
-  uint64_t getStepsUsed() const { return Steps; }
-
 private:
   EvalResult evalTerm(const Term *T, const EnvPtr &Env);
   EvalResult applyImpl(const ValuePtr &Fn, const std::vector<ValuePtr> &Args);

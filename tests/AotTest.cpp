@@ -308,11 +308,12 @@ sf::EvalResult expectTreeAotParity(Frontend &FE, CompileOutput &Out,
   EXPECT_EQ(Tree.ok(), Aot.ok())
       << Context << ": tree " << (Tree.ok() ? "succeeded" : Tree.Error)
       << " but aot " << (Aot.ok() ? "succeeded" : Aot.Error);
-  if (Tree.ok() && Aot.ok())
+  if (Tree.ok() && Aot.ok()) {
     EXPECT_EQ(sf::valueToString(Tree.Val), sf::valueToString(Aot.Val))
         << Context;
-  else if (!Tree.ok() && !Aot.ok())
+  } else if (!Tree.ok() && !Aot.ok()) {
     EXPECT_EQ(Tree.Error, Aot.Error) << Context;
+  }
   return Tree;
 }
 

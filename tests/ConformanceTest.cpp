@@ -102,8 +102,9 @@ TEST_P(Conformance, MeetsExpectations) {
   }
 
   ASSERT_TRUE(Out.Success) << GetParam() << ": " << Out.ErrorMessage;
-  if (E.HasType)
+  if (E.HasType) {
     EXPECT_EQ(typeToString(Out.FgType), E.Type) << GetParam();
+  }
 
   // Every backend must agree on the outcome — a value for EXPECT-VALUE
   // programs, a runtime error for the rest of the corpus.
@@ -146,9 +147,10 @@ TEST_P(Conformance, MeetsExpectations) {
       << GetParam() << ": specialization changed the outcome kind ("
       << Outcomes.front().Rendered << " vs "
       << SpecOutcomes.front().Rendered << ")";
-  if (Outcomes.front().Ok)
+  if (Outcomes.front().Ok) {
     EXPECT_EQ(Outcomes.front().Rendered, SpecOutcomes.front().Rendered)
         << GetParam() << ": specialization changed the program's value";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -51,8 +51,9 @@ void optimizeAndCheck(const std::string &Source, sf::OptimizeStats &Stats,
   sf::EvalResult Before = FE.run(Out);
   sf::EvalResult After = runO1(FE, Out);
   ASSERT_EQ(Before.ok(), After.ok()) << Before.Error << " / " << After.Error;
-  if (Before.ok())
+  if (Before.ok()) {
     EXPECT_EQ(sf::valueToString(Before.Val), sf::valueToString(After.Val));
+  }
 
   if (PrintedOut)
     *PrintedOut = sf::termToString(Opt);

@@ -896,6 +896,39 @@ TEST(SessionTest, DeclarationMayEndInALineComment) {
       << Bad.Diagnostics;
 }
 
+TEST(SessionTest, DeclarationMayStartWithAComment) {
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  Outcome D = S.eval("// the answer\nlet x = 42");
+  EXPECT_TRUE(D.Success) << D.Diagnostics;
+  EXPECT_TRUE(D.IsDecl);
+  EXPECT_EQ(D.DeclKind, "let");
+  EXPECT_EQ(D.DeclName, "x");
+  EXPECT_EQ(D.Type, "int");
+  EXPECT_EQ(S.eval("x").Value, "42");
+}
+
+TEST(SessionTest, CommentBeforeTheDeclaredNameKeepsTheName) {
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  Outcome D = S.eval("let /* c */ y = 1");
+  EXPECT_TRUE(D.Success) << D.Diagnostics;
+  EXPECT_EQ(D.DeclName, "y");
+  EXPECT_EQ(D.Type, "int");
+}
+
+TEST(SessionTest, CommentOnlyInputIsLikeABlankOne) {
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  for (const char *Input : {"// just a note", "/* a note */", "  "}) {
+    Outcome O = S.eval(Input);
+    EXPECT_TRUE(O.Success) << Input << ": " << O.Diagnostics;
+    EXPECT_FALSE(O.IsDecl) << Input;
+    EXPECT_TRUE(O.Diagnostics.empty()) << Input << ": " << O.Diagnostics;
+  }
+  EXPECT_TRUE(S.decls().empty());
+}
+
 TEST(SessionTest, FailedDeclarationDoesNotPolluteTheScope) {
   auto Cache = std::make_shared<ArtifactCache>();
   Session S(Cache);

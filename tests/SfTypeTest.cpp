@@ -6,13 +6,32 @@
 //===----------------------------------------------------------------------===//
 
 #include "systemf/Type.h"
+#include "core/Type.h"
 #include <chrono>
 #include <gtest/gtest.h>
+#include <type_traits>
 
-using namespace fg;
 using namespace fg::sf;
 
 namespace {
+
+// F_G and System F share one type language, but their nodes are
+// distinct C++ types, and only F_G's context builds associated types
+// and where clauses.
+static_assert(!std::is_convertible_v<const fg::Type *, const fg::sf::Type *>);
+static_assert(!std::is_convertible_v<const fg::sf::Type *, const fg::Type *>);
+
+template <typename CtxT>
+concept BuildsAssocTypes =
+    requires(CtxT &Ctx) { Ctx.getAssocType(0u, "C", {}, "elt"); };
+static_assert(BuildsAssocTypes<fg::TypeContext>);
+static_assert(!BuildsAssocTypes<fg::sf::TypeContext>);
+
+template <typename CtxT>
+concept BuildsWhereClauses =
+    requires(CtxT &Ctx) { Ctx.getForAllType({}, {}, {}, nullptr); };
+static_assert(BuildsWhereClauses<fg::TypeContext>);
+static_assert(!BuildsWhereClauses<fg::sf::TypeContext>);
 
 class SfTypeTest : public ::testing::Test {
 protected:
@@ -168,4 +187,57 @@ TEST_F(SfTypeTest, DeepListChainInternsInLinearTime) {
 TEST_F(SfTypeTest, DeepArrowChainInternsInLinearTime) {
   const Type *I = Ctx.getIntType();
   expectLinearChain([&](const Type *T) { return Ctx.getArrowType({T}, I); });
+}
+
+//===----------------------------------------------------------------------===//
+// Foralls of one shape share a hash, so AlphaEq alone tells them apart
+//===----------------------------------------------------------------------===//
+
+TEST_F(SfTypeTest, ForAllsThatDifferInAFreeParamAreTwoNodes) {
+  unsigned A = Ctx.freshParamId();
+  const Type *PA = Ctx.getParamType(A, "a");
+  const Type *X = Ctx.freshParam("x");
+  const Type *Y = Ctx.freshParam("y");
+  // forall a. fn(a, x) -> a   vs the same with y.
+  auto Make = [&](const Type *Free) {
+    return Ctx.getForAllType({{A, "a"}}, Ctx.getArrowType({PA, Free}, PA));
+  };
+  const Type *FX = Make(X);
+  const Type *FY = Make(Y);
+  EXPECT_EQ(FX->getHash(), FY->getHash()) << "one shape, one hash";
+  EXPECT_NE(FX, FY);
+  EXPECT_EQ(FX, Make(X));
+}
+
+TEST_F(SfTypeTest, ForAllsWhoseBodiesSwapBinderOrderAreTwoNodes) {
+  unsigned A = Ctx.freshParamId(), B = Ctx.freshParamId();
+  const Type *PA = Ctx.getParamType(A, "a");
+  const Type *PB = Ctx.getParamType(B, "b");
+  // forall a, b. fn(a) -> b   vs   forall a, b. fn(b) -> a.
+  auto Make = [&](const Type *From, const Type *To) {
+    return Ctx.getForAllType({{A, "a"}, {B, "b"}},
+                             Ctx.getArrowType({From}, To));
+  };
+  const Type *AB = Make(PA, PB);
+  const Type *BA = Make(PB, PA);
+  EXPECT_EQ(AB->getHash(), BA->getHash()) << "one shape, one hash";
+  EXPECT_NE(AB, BA);
+}
+
+TEST_F(SfTypeTest, AlphaEquivalentNestedForAllsAreOneNode) {
+  // forall a. forall b. fn(a, b) -> list a, built twice with fresh
+  // parameter ids.
+  auto Make = [&](const std::string &NA, const std::string &NB) {
+    unsigned A = Ctx.freshParamId(), B = Ctx.freshParamId();
+    const Type *PA = Ctx.getParamType(A, NA);
+    const Type *PB = Ctx.getParamType(B, NB);
+    const Type *Inner = Ctx.getForAllType(
+        {{B, NB}}, Ctx.getArrowType({PA, PB}, Ctx.getListType(PA)));
+    return Ctx.getForAllType({{A, NA}}, Inner);
+  };
+  const Type *First = Make("a", "b");
+  const Type *Second = Make("s", "t");
+  EXPECT_EQ(First, Second);
+  EXPECT_EQ(typeToString(Second), "forall a. forall b. fn(a, b) -> list a")
+      << "the first node of an alpha-class keeps its names";
 }

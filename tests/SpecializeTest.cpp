@@ -74,8 +74,9 @@ void specializeAndCheck(const std::string &Source, sf::SpecializeLevel Level,
   Req.Level = Level; // Reuses Spec: optimize() memoizes per level.
   sf::EvalResult After = execute(FE, Out, Req);
   ASSERT_EQ(Before.ok(), After.ok()) << Before.Error << " / " << After.Error;
-  if (Before.ok())
+  if (Before.ok()) {
     EXPECT_EQ(sf::valueToString(Before.Val), sf::valueToString(After.Val));
+  }
 
   if (PrintedOut)
     *PrintedOut = sf::termToString(Spec);
