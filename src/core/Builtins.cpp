@@ -16,14 +16,10 @@ const Type *fg::fgTypeFromSf(TypeContext &FgCtx, const sf::Type *T) {
     return FgCtx.getIntType();
   case sf::TypeKind::Bool:
     return FgCtx.getBoolType();
-  case sf::TypeKind::Param: {
-    const auto *P = cast<sf::ParamType>(T);
-    // System F parameter ids live in a different id space; builtin types
-    // are closed, so reusing the numeric id on the F_G side is safe as
-    // long as the F_G context hands out ids from its own counter.  To
-    // avoid any overlap we offset into a reserved range.
-    return FgCtx.getParamType(P->getId() + (1u << 30), P->getName());
-  }
+  case sf::TypeKind::Bound:
+    // Builtin types are closed, so every parameter is an index, which
+    // means the same in both languages.
+    return FgCtx.getBoundType(cast<sf::BoundType>(T)->getIndex());
   case sf::TypeKind::Arrow: {
     const auto *A = cast<sf::ArrowType>(T);
     std::vector<const Type *> Params;
@@ -43,12 +39,10 @@ const Type *fg::fgTypeFromSf(TypeContext &FgCtx, const sf::Type *T) {
         fgTypeFromSf(FgCtx, cast<sf::ListType>(T)->getElement()));
   case sf::TypeKind::ForAll: {
     const auto *F = cast<sf::ForAllType>(T);
-    std::vector<TypeParamDecl> Params;
-    for (const sf::TypeParamDecl &P : F->getParams())
-      Params.push_back({P.Id + (1u << 30), P.Name});
-    return FgCtx.getForAllType(std::move(Params), {}, {},
-                               fgTypeFromSf(FgCtx, F->getBody()));
+    return FgCtx.getNamelessForAllType(
+        F->getParamNames(), {{}, {}, fgTypeFromSf(FgCtx, F->getParts().Body)});
   }
+  case sf::TypeKind::Param: // Builtin types are closed.
   case sf::TypeKind::Assoc: // System F has no associated types.
     break;
   }

@@ -21,8 +21,8 @@
 
 namespace fg {
 
-/// Converts a (requirement-free) System F type to the corresponding F_G
-/// type.  Exposed for tests.
+/// Converts a closed System F type to the corresponding F_G type, index
+/// for index.  Exposed for tests.
 const Type *fgTypeFromSf(TypeContext &FgCtx, const sf::Type *T);
 
 /// Registers every builtin of \p P with \p C under its F_G type.

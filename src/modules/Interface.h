@@ -18,8 +18,8 @@
 ///   * top-level value bindings with their F_G types;
 ///   * the type of the tail expression.
 ///
-/// The wire format is a versioned S-expression (`(fgi 3 ...)`).  Types
-/// serialize with keys for the producing compiler's parameter and
+/// The wire format is a versioned S-expression (`(fgi 4 ...)`).  Types
+/// serialize with keys for the producing compiler's free parameter and
 /// concept ids, numbered densely in order of first appearance, so the
 /// bytes do not depend on how many ids the compiler minted before.  On
 /// load every key is remapped — declarations mint fresh ids in the
@@ -187,8 +187,10 @@ bool buildInterface(Frontend &FE, const ImportEnv &Env,
 /// The `.fgi` wire-format version.  It heads every interface and salts
 /// every interface hash, so an interface of any other version is a
 /// cache miss and is rebuilt.  Version 3 numbers keys densely and
-/// records digests, not hashes, in `deps`.
-inline constexpr unsigned InterfaceFormatVersion = 3;
+/// records digests, not hashes, in `deps`; version 4 writes a forall's
+/// where clause and body with de Bruijn indices, `#N`, for its
+/// parameters, which it lists by name only.
+inline constexpr unsigned InterfaceFormatVersion = 4;
 
 /// Renders \p I in the `.fgi` wire format.  \p Env classifies referenced
 /// concepts/aliases as own declarations or imports; only the imports

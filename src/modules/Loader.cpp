@@ -363,6 +363,25 @@ static SourceLocation leftmostLoc(const Term *T) {
   return Best;
 }
 
+/// The location of the last `in` in \p Src before \p Tail: the one that
+/// closes the spine's last declaration.  Cutting there, not at the tail,
+/// leaves behind the parentheses that open a tail like `(a)`.
+static SourceLocation lastInBefore(const std::string &Src,
+                                   SourceLocation Tail) {
+  SourceManager SM;
+  DiagnosticEngine Diags(&SM);
+  Lexer Lex(SM, SM.addBuffer("<spine>", Src), Diags);
+  SourceLocation In;
+  for (Token Tok = Lex.next();
+       !Tok.is(TokenKind::Eof) &&
+       (Tok.Loc.Line < Tail.Line ||
+        (Tok.Loc.Line == Tail.Line && Tok.Loc.Column < Tail.Column));
+       Tok = Lex.next())
+    if (Tok.is(TokenKind::KwIn))
+      In = Tok.Loc;
+  return In;
+}
+
 /// Byte offset of 1-based (\p Line, \p Col) in \p Src.
 static size_t offsetOf(const std::string &Src, uint32_t Line, uint32_t Col) {
   size_t Off = 0;
@@ -394,10 +413,10 @@ bool ModuleLoader::spineText(Frontend &FE, const std::string &Root,
     if (S.Nodes.empty())
       continue; // Pure expression module: nothing to export.
     SourceLocation Begin = S.Nodes.front()->getLoc();
-    SourceLocation TailLoc = leftmostLoc(S.Tail);
+    SourceLocation End = lastInBefore(Src, leftmostLoc(S.Tail));
     size_t BeginOff = offsetOf(Src, Begin.Line, Begin.Column);
-    size_t EndOff = offsetOf(Src, TailLoc.Line, TailLoc.Column);
-    if (EndOff < BeginOff)
+    size_t EndOff = offsetOf(Src, End.Line, End.Column) + 2;
+    if (!End.isValid() || EndOff < BeginOff)
       continue; // Defensive: malformed locations.
     Out += Src.substr(BeginOff, EndOff - BeginOff);
     Out += "\n";

@@ -212,7 +212,8 @@ Outcome Session::eval(const std::string &RawInput, Backend Engine) {
   bool DeclCandidate = !Start.Keyword.empty();
 
   // Expression attempt first: a complete expression (even one starting
-  // with `let ... in ...`) evaluates; otherwise a leading declaration
+  // with `let ... in ...`) evaluates, and one that parses but does not
+  // check reports its own errors; otherwise a leading declaration
   // keyword means the input extends the scope (docs/REPL.md §2).
   {
     Frontend FE;
@@ -225,7 +226,7 @@ Outcome Session::eval(const std::string &RawInput, Backend Engine) {
       report(execute(FE, Out, Req), O);
       return O;
     }
-    if (!DeclCandidate) {
+    if (!DeclCandidate || Out.Ast) {
       O.Success = false;
       O.Diagnostics = FE.getDiags().render();
       return O;

@@ -36,10 +36,12 @@ using Type = types::Type<types::SystemF>;
 using IntType = types::IntType<types::SystemF>;
 using BoolType = types::BoolType<types::SystemF>;
 using ParamType = types::ParamType<types::SystemF>;
+using BoundType = types::BoundType<types::SystemF>;
 using ArrowType = types::ArrowType<types::SystemF>;
 using TupleType = types::TupleType<types::SystemF>;
 using ListType = types::ListType<types::SystemF>;
 using ForAllType = types::ForAllType<types::SystemF>;
+using ForAllParts = types::ForAllParts<types::SystemF>;
 using TypeSubst = types::TypeSubst<types::SystemF>;
 using TypeContext = types::TypeContext<types::SystemF>;
 using types::allChildren;

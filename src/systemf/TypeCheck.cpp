@@ -132,13 +132,10 @@ const Type *TypeChecker::checkTerm(const Term *T) {
       return fail(T, "expected " + std::to_string(FA->getNumParams()) +
                          " type argument(s) but got " +
                          std::to_string(A->getTypeArgs().size()));
-    TypeSubst Subst;
-    for (unsigned I = 0, E = FA->getNumParams(); I != E; ++I) {
-      if (!checkWellFormed(A->getTypeArgs()[I], T))
+    for (const Type *Arg : A->getTypeArgs())
+      if (!checkWellFormed(Arg, T))
         return nullptr;
-      Subst[FA->getParams()[I].Id] = A->getTypeArgs()[I];
-    }
-    return Ctx.substitute(FA->getBody(), Subst);
+    return Ctx.open(FA, A->getTypeArgs()).Body;
   }
 
   case TermKind::Let: {

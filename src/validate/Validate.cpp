@@ -58,7 +58,10 @@ struct IllTypedSearch {
     const sf::Type *Ty = Checker.check(Wrapped, Env);
     if (!Ty || Open.empty())
       return Ty;
-    return cast<sf::ForAllType>(Ty)->getBody();
+    std::vector<const sf::Type *> Params;
+    for (const sf::TypeParamDecl &P : Open)
+      Params.push_back(Ctx.getParamType(P.Id, P.Name));
+    return Ctx.open(cast<sf::ForAllType>(Ty), Params).Body;
   }
 
   /// Precondition: \p T does not typecheck under Env/Open.  Returns

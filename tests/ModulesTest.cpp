@@ -294,6 +294,35 @@ TEST_F(ModulesTest, BatchWarmRunHitsInterfaceCache) {
             0u);
 }
 
+// `base` exports `pair : forall t. fn(t, t) -> (t * t)`, whose body its
+// interface writes with the index `#0`.  An index outside its binders
+// makes the file malformed: a miss that rebuilds it, not a hit that
+// fails its dependents.
+TEST_F(ModulesTest, InterfaceWithAnUnboundIndexIsACacheMiss) {
+  std::string Top = writeDiamond();
+  ModuleLoader Loader;
+  std::string Root, Error;
+  ASSERT_TRUE(Loader.loadFile(Top, Root, Error)) << Error;
+  ASSERT_TRUE(batch(Loader, {Root}).Success);
+
+  std::string Base = readAll((Dir / "base.fgi").string());
+  size_t At = Base.find("(all (t) (reqs) (eqs) (-> (#0 #0)");
+  ASSERT_NE(At, std::string::npos) << Base;
+  std::string Bad = Base;
+  Bad.replace(Bad.find("#0", At), 2, "#1");
+  write("base.fgi", Bad);
+
+  auto Before = stats::Statistics::global().counters();
+  BatchResult BR = batch(Loader, {Root});
+  auto After = stats::Statistics::global().counters();
+  ASSERT_TRUE(BR.Success);
+  EXPECT_FALSE(BR.find("base")->CacheHit);
+  EXPECT_EQ(After["modules.cache.misses"] - Before["modules.cache.misses"],
+            1u);
+  EXPECT_EQ(After["modules.cache.hits"] - Before["modules.cache.hits"], 3u);
+  EXPECT_EQ(readAll((Dir / "base.fgi").string()), Base);
+}
+
 TEST_F(ModulesTest, DependencyEditInvalidatesWholeCone) {
   std::string Top = writeDiamond();
   {
@@ -463,7 +492,7 @@ TEST_F(ModulesTest, InterfaceHashCoversSourceAndDeps) {
   EXPECT_NE(H1, interfaceHash("src", {}));
   // The value itself is pinned: a changed hash function or format salt
   // would make every user's .fgi cache miss.
-  EXPECT_EQ(H1, 0x7f03438675e1de9aull);
+  EXPECT_EQ(H1, 0x8162edf92216c033ull);
 }
 
 //===----------------------------------------------------------------------===//

@@ -917,6 +917,24 @@ TEST(SessionTest, CommentBeforeTheDeclaredNameKeepsTheName) {
   EXPECT_EQ(D.Type, "int");
 }
 
+// An input that parses as a whole expression is an expression even when
+// it starts with `let`: its type error is reported, not the declaration
+// probe's complaint about the `in 0` the probe appended.
+TEST(SessionTest, IllTypedLetExpressionReportsItsOwnError) {
+  auto Cache = std::make_shared<ArtifactCache>();
+  Session S(Cache);
+  Outcome O = S.eval("let x = iadd(1, true) in x");
+  EXPECT_FALSE(O.Success);
+  EXPECT_FALSE(O.IsDecl);
+  EXPECT_NE(O.Diagnostics.find(
+                "argument 2 has type `bool` but `int` was expected"),
+            std::string::npos)
+      << O.Diagnostics;
+  EXPECT_EQ(O.Diagnostics.find("trailing input"), std::string::npos)
+      << O.Diagnostics;
+  EXPECT_TRUE(S.decls().empty());
+}
+
 TEST(SessionTest, CommentOnlyInputIsLikeABlankOne) {
   auto Cache = std::make_shared<ArtifactCache>();
   Session S(Cache);
@@ -1053,6 +1071,27 @@ TEST(SessionTest, DirectoryPathIsAnError) {
   EXPECT_FALSE(L.Success);
   EXPECT_EQ(L.Error, Expected);
   EXPECT_EQ(Cache->size(), 0u);
+}
+
+// `load` splices a file's declarations up to the `in` that closes the
+// last one, so a tail that opens with `(` leaves no `(` in the scope.
+TEST(SessionTest, LoadSplicesNoParenthesisOfTheTail) {
+  TempDir Dir;
+  const std::pair<const char *, const char *> Files[] = {
+      {"call.fg", "let a = 1 in\n(iadd(a, 1))\n"},
+      {"var.fg", "let a = 1 in (a)\n"},
+      {"tuple.fg", "let a = 1 in (a, 2)\n"}};
+  for (const auto &[Name, Text] : Files) {
+    auto Cache = std::make_shared<ArtifactCache>();
+    Session S(Cache);
+    Outcome L = S.load(Dir.write(Name, Text));
+    EXPECT_TRUE(L.Success) << Name << ": " << L.Error << L.Diagnostics;
+    EXPECT_EQ(S.decls().find('('), std::string::npos)
+        << Name << ": " << S.decls();
+    Outcome A = S.eval("a");
+    EXPECT_TRUE(A.Success) << Name << ": " << A.Diagnostics;
+    EXPECT_EQ(A.Value, "1") << Name;
+  }
 }
 
 // A parse error in a file, with a module header or without one, is

@@ -7,6 +7,7 @@
 
 #include "systemf/Type.h"
 #include "core/Type.h"
+#include "support/DeepStack.h"
 #include <chrono>
 #include <gtest/gtest.h>
 #include <type_traits>
@@ -142,6 +143,30 @@ TEST_F(SfTypeTest, SubstitutionLeavesBoundParamsAlone) {
   EXPECT_EQ(Ctx.substitute(F, S), F);
 }
 
+TEST_F(SfTypeTest, OpenInstantiatesTheBodyAndLeavesInnerBindersAlone) {
+  unsigned A = Ctx.freshParamId(), B = Ctx.freshParamId();
+  const Type *PA = Ctx.getParamType(A, "a");
+  const Type *PB = Ctx.getParamType(B, "b");
+  const Type *I = Ctx.getIntType();
+  // forall a. fn(a, forall b. fn(b) -> a) -> list a, opened at int.
+  const Type *Inner = Ctx.getForAllType({{B, "b"}}, Ctx.getArrowType({PB}, PA));
+  const auto *F = fg::cast<ForAllType>(Ctx.getForAllType(
+      {{A, "a"}}, Ctx.getArrowType({PA, Inner}, Ctx.getListType(PA))));
+  ForAllParts Open = Ctx.open(F, {I});
+  EXPECT_TRUE(Open.Requirements.empty() && Open.Equations.empty());
+  const Type *InnerI =
+      Ctx.getForAllType({{B, "b"}}, Ctx.getArrowType({PB}, I));
+  EXPECT_EQ(Open.Body, Ctx.getArrowType({I, InnerI}, Ctx.getListType(I)));
+  EXPECT_EQ(typeToString(Open.Body),
+            "fn(int, forall b. fn(b) -> int) -> list int");
+  // Opening with a parameter puts that parameter in place.
+  const Type *X = Ctx.freshParam("x");
+  EXPECT_EQ(Ctx.open(F, {X}).Body,
+            Ctx.getArrowType({X, Ctx.getForAllType(
+                                     {{B, "b"}}, Ctx.getArrowType({PB}, X))},
+                             Ctx.getListType(X)));
+}
+
 TEST_F(SfTypeTest, CollectFreeParams) {
   unsigned A = Ctx.freshParamId(), B = Ctx.freshParamId();
   const Type *PA = Ctx.getParamType(A, "a");
@@ -168,6 +193,24 @@ TEST_F(SfTypeTest, Printing) {
       "forall t. fn(t) -> t");
 }
 
+TEST_F(SfTypeTest, PrintingRenamesABinderThatWouldCaptureAFreeName) {
+  unsigned A = Ctx.freshParamId(), B = Ctx.freshParamId();
+  const Type *PA = Ctx.getParamType(A, "a");
+  const Type *PB = Ctx.getParamType(B, "b");
+  // fn(b) -> forall b. fn(b) -> b', with b' the free parameter b: what
+  // instantiating forall a. fn(a) -> forall b. fn(b) -> a at b gives.
+  const Type *Free = Ctx.freshParam("b");
+  EXPECT_EQ(typeToString(Ctx.getArrowType(
+                {Free}, Ctx.getForAllType({{B, "b"}},
+                                          Ctx.getArrowType({PB}, Free)))),
+            "fn(b) -> forall b1. fn(b1) -> b");
+  // The outer binder a is free in the inner forall, named as printed.
+  EXPECT_EQ(typeToString(Ctx.getForAllType(
+                {{A, "b"}}, Ctx.getForAllType({{B, "b"}},
+                                              Ctx.getArrowType({PB}, PA)))),
+            "forall b. forall b1. fn(b1) -> b");
+}
+
 TEST_F(SfTypeTest, PaperFigure3SumType) {
   // The higher-order sum from Figure 3 has type
   //   forall t. fn(list t, fn(t, t) -> t, t) -> t
@@ -189,8 +232,33 @@ TEST_F(SfTypeTest, DeepArrowChainInternsInLinearTime) {
   expectLinearChain([&](const Type *T) { return Ctx.getArrowType({T}, I); });
 }
 
+TEST_F(SfTypeTest, DeepNestedForAllChainInternsInLinearTime) {
+  // forall a0. ... forall a49999. fn(a0) -> int, built twice with fresh
+  // ids.  Closing each level skips the body, whose free ids lie below the
+  // level's own, and only closing a0 walks it: about 0.1 s optimized.
+  // When the interner compared a forall's body with its alpha-twin's
+  // under binder stacks, each level walked the whole body.
+  auto Build = [&] {
+    unsigned A0 = Ctx.freshParamId();
+    const Type *T = Ctx.getArrowType({Ctx.getParamType(A0, "a0")},
+                                     Ctx.getIntType());
+    for (int D = 1; D != 50000; ++D)
+      T = Ctx.getForAllType({{Ctx.freshParamId(), "a"}}, T);
+    return Ctx.getForAllType({{A0, "a0"}}, T);
+  };
+  auto Start = std::chrono::steady_clock::now();
+  const Type *First = nullptr, *Again = nullptr;
+  fg::runOnDeepStack([&] { // Closing a0 recurses through every level.
+    First = Build();
+    Again = Build();
+  });
+  EXPECT_EQ(First, Again);
+  EXPECT_LT(std::chrono::steady_clock::now() - Start,
+            std::chrono::seconds(5));
+}
+
 //===----------------------------------------------------------------------===//
-// Foralls of one shape share a hash, so AlphaEq alone tells them apart
+// Foralls of one shape that differ in a child are two nodes
 //===----------------------------------------------------------------------===//
 
 TEST_F(SfTypeTest, ForAllsThatDifferInAFreeParamAreTwoNodes) {
@@ -204,7 +272,6 @@ TEST_F(SfTypeTest, ForAllsThatDifferInAFreeParamAreTwoNodes) {
   };
   const Type *FX = Make(X);
   const Type *FY = Make(Y);
-  EXPECT_EQ(FX->getHash(), FY->getHash()) << "one shape, one hash";
   EXPECT_NE(FX, FY);
   EXPECT_EQ(FX, Make(X));
 }
@@ -220,7 +287,6 @@ TEST_F(SfTypeTest, ForAllsWhoseBodiesSwapBinderOrderAreTwoNodes) {
   };
   const Type *AB = Make(PA, PB);
   const Type *BA = Make(PB, PA);
-  EXPECT_EQ(AB->getHash(), BA->getHash()) << "one shape, one hash";
   EXPECT_NE(AB, BA);
 }
 

@@ -53,6 +53,18 @@ TEST(TypeCheckTest, AppWrongArgType) {
             std::string::npos);
 }
 
+// `k[b](z)` has type `forall b'. fn(b') -> b`, where the result is the
+// outer `b`: the diagnostic renames the binder rather than print the
+// capture `forall b. fn(b) -> b`.
+TEST(TypeCheckTest, DiagnosticNamesNoCapturedBinder) {
+  EXPECT_NE(compileError("let k = (forall a. fun(x : a). (forall b. "
+                         "fun(y : b). x)) in (forall b. fun(z : b). "
+                         "iadd(k[b](z), 1))")
+                .find("argument 1 has type `forall b1. fn(b1) -> b` but "
+                      "`int` was expected"),
+            std::string::npos);
+}
+
 TEST(TypeCheckTest, AppWrongArity) {
   EXPECT_NE(compileError("iadd(1)").find("expects 2"), std::string::npos);
 }
