@@ -221,6 +221,23 @@ TEST(ConceptsTest, DiamondRefinement) {
   EXPECT_EQ(R.Value, "(7, 7, 7)") << R.Error;
 }
 
+TEST(ConceptsTest, DiamondKeysCaptureNothingUnderARefinedForall) {
+  // Instantiating f finds its diamonds on its requirements opened at
+  // distinct parameters.  D<a> refines C<forall u. fn(u) -> a>; read at
+  // the stored index of a, that key was captured as C<forall u. fn(u)
+  // -> u>, equal to f's second requirement, whose elt slot then went
+  // unfilled: `f[int, int]` for abstraction's three parameters.
+  RunResult R = runFg(R"(
+    concept C<t> { types elt; } in
+    concept D<t> { refines C<forall u. fn(u) -> t>; } in
+    model C<forall u. fn(u) -> int> { types elt = int; } in
+    model C<forall u. fn(u) -> u> { types elt = bool; } in
+    model D<int> { } in
+    let f = (forall a where D<a>, C<forall u. fn(u) -> u>. 1) in
+    f[int])");
+  EXPECT_EQ(R.Value, "1") << R.Error;
+}
+
 TEST(ConceptsTest, ConceptWithMultipleParams) {
   // Grouping constraints on several types in one concept — the paper
   // lists this as a weakness of the subtyping approach that concepts
